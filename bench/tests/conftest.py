@@ -1,0 +1,12 @@
+"""Run with ``python -m pytest bench/tests -q`` from the repo root
+(outside the tier-1 suite, which only collects ``tests/``)."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)
+)))
+for path in (ROOT, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
