@@ -50,10 +50,6 @@ try:  # pragma: no cover - exercised implicitly by every import
 except ImportError:  # pragma: no cover - CI images without numpy
     np = None
 
-#: Module-level switch; tests flip it (or pass ``use_columns`` to the
-#: runtime) to force the scalar/batch paths.
-ENABLED = True
-
 #: Sentinel recorded in the side table for a field a packet lacks.
 MISSING = object()
 
@@ -74,14 +70,9 @@ _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
 
-def have_numpy() -> bool:
-    """Whether numpy is importable in this interpreter."""
-    return np is not None
-
-
 def available() -> bool:
-    """Whether the columnar tier can run (numpy present and enabled)."""
-    return np is not None and ENABLED
+    """Whether the columnar tier can run (numpy is importable)."""
+    return np is not None
 
 
 def _packable(value) -> bool:
@@ -244,10 +235,6 @@ class PacketColumns:
         if self.alive is None:
             return int(lengths.sum())
         return int(lengths[self.alive].sum())
-
-    def uniform(self) -> bool:
-        """Whether every row carries identical column values."""
-        return self.n <= 1 or bool((self._mat[1:] == self._mat[0]).all())
 
     # -- splitting ---------------------------------------------------------
     def split(self, groups) -> List[Tuple[int, "PacketColumns"]]:

@@ -90,15 +90,15 @@ class Element:
     #: gauge (see repro.obs).
     is_buffering = False
     #: Whether push() may emit more than one packet per input packet
-    #: (Tee, Multicast).  The instrumented runtime's deferred-accounting
-    #: fast path derives per-element drop counts from entry counts,
-    #: which multiplying elements would skew, so their presence selects
-    #: the exact per-hop counting path instead.
+    #: (Tee, Multicast).  The runtime's deferred accounting sink
+    #: derives per-element counts from entry counts, which multiplying
+    #: elements would skew, so their presence selects the exact
+    #: per-hop sink instead (see repro.click.accounting).
     is_multiplying = False
-    #: Whether the element implements :meth:`push_columns`.  The segment
-    #: compiler only emits a column plan for a join-free segment when
-    #: *every* element on it (including the sink) sets this; otherwise
-    #: the batch crosses the segment via ``push_batch``.
+    #: Whether the element implements :meth:`push_columns`.  The plan
+    #: compiler only marks a segment plan columnar when *every*
+    #: element on it (including the sink) sets this; otherwise the
+    #: batch crosses the segment via ``push_batch``.
     has_column_kernel = False
     #: Header fields the column kernel reads or writes.  The plan
     #: compiler unions these over a segment to decide which columns
@@ -112,7 +112,7 @@ class Element:
     def __init__(self, name: str, args: Optional[Sequence[str]] = None):
         self.name = name
         self.args = [str(a) for a in (args or [])]
-        self.runtime = None  # set by Runtime.bind()
+        self.runtime = None  # assigned by the Runtime constructor
         self.configure(self.args)
 
     # -- configuration hooks -------------------------------------------------

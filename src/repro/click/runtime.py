@@ -10,24 +10,40 @@ Packets that exit through ``ToNetfront``/``ToDevice`` sinks are collected
 in :attr:`Runtime.output` as ``(element_name, packet, time)`` records so
 tests and the platform simulator can observe egress traffic.
 
+**One plan, two executors.**  Every ``(element, input port)`` entry
+compiles once into a :class:`SegmentPlan`; one scalar worklist drives
+single packets (``inject``, timer-driven ``deliver_from``) and one batch
+worklist drives ``inject_batch``, crossing each plan as numpy columns
+when the plan and the batch allow it and as ``push_batch`` lists
+otherwise.
+
 **Observability.**  Passing an :class:`~repro.obs.Observability` bundle
 instruments the dataplane: per-element packet/byte/drop counters, an
 egress counter and ingress-to-egress latency histogram (in simulated
 seconds), and a queue-depth gauge sampled from buffering elements at
-snapshot time.  With ``obs=None`` (the default) the per-hop methods are
-the uninstrumented originals -- the disabled path costs nothing.
+snapshot time.  The executors report to an accounting sink
+(:mod:`repro.click.accounting`); with ``obs=None`` (the default) there
+is no sink and the loops pay one local ``is None`` test per event.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.click import columnar
+from repro.click.accounting import INGRESS, accounting_for
 from repro.click.config import ClickConfig
 from repro.click.element import Element, create_element
 from repro.common.errors import ConfigError, SimulationError
+
+_length_of = attrgetter("length")
+
+
+def _nbytes(packets) -> int:
+    return sum(map(_length_of, packets))
 
 
 class EgressRecord(NamedTuple):
@@ -36,6 +52,50 @@ class EgressRecord(NamedTuple):
     element: str
     packet: Any
     time: float
+
+
+class SegmentPlan(NamedTuple):
+    """The compiled linear run of the graph behind one entry.
+
+    ``steps`` are ``(push_batch, push_columns, in_port, continue_port,
+    element_name)`` tuples; a batch leaving a step alone on its
+    ``continue_port`` goes straight into the next step, anything else
+    (a partition, an off-chain emission such as ``DecIPTTL``'s expiry
+    port, the last step) is dispatched through the adjacency map.  The
+    last step's ``continue_port`` is always ``None``.
+    """
+
+    steps: tuple
+    #: How the walk ended: ``("sink", name)`` (the sink is the last
+    #: step), ``("enter", name)`` (a cycle re-enters the worklist at
+    #: ``name``), or ``None`` at an element without exactly one
+    #: connected output.
+    terminal: Optional[Tuple[str, str]]
+    #: Union of every kernel's column needs, or ``None`` when the
+    #: segment cannot run as columns -- ``why_not_columns`` says why.
+    column_fields: Optional[Tuple[str, ...]]
+    #: Whether the packet-length column must be lifted up front
+    #: (counters, or deferred byte accounting).
+    need_length: bool
+    why_not_columns: Optional[str]
+    #: The accounting mode the plan was compiled for: ``"none"``,
+    #: ``"deferred"`` or ``"exact"``.
+    accounting: str
+
+    @property
+    def names(self) -> Tuple[str, ...]:
+        """Element names of the steps, in order."""
+        return tuple(step[4] for step in self.steps)
+
+    @property
+    def continue_ports(self) -> Tuple[Optional[int], ...]:
+        return tuple(step[3] for step in self.steps)
+
+    @property
+    def tier(self) -> str:
+        """``"columns"`` or ``"batch"``: how a batch of at least
+        ``columnar.MIN_BATCH`` cleanly liftable packets crosses it."""
+        return "batch" if self.column_fields is None else "columns"
 
 
 class Runtime:
@@ -70,169 +130,43 @@ class Runtime:
             element.runtime = self
             self.elements[name] = element
         # Adjacency map for fast edge lookup: (src, port) -> (dst, port).
-        self._adjacency: Dict[Tuple[str, int], Tuple[str, int]] = {}
-        for edge in config.edges:
-            self._adjacency[(edge.src, edge.src_port)] = (
-                edge.dst,
-                edge.dst_port,
-            )
-        # Hot-path bindings: sink membership is decided once here, and
-        # the adjacency lookup is a pre-bound method, so _route does no
-        # getattr/attribute chasing per packet.
+        self._adjacency: Dict[Tuple[str, int], Tuple[str, int]] = {
+            (edge.src, edge.src_port): (edge.dst, edge.dst_port)
+            for edge in config.edges
+        }
         self._sink_names = frozenset(
             name for name, element in self.elements.items()
             if getattr(element, "is_sink", False)
         )
-        self._adjacency_get = self._adjacency.get
-        # Connected output ports per element, for the segment compiler.
+        # Connected output ports per element, for the plan compiler.
         out_ports: Dict[str, List[int]] = {}
         for src, src_port in self._adjacency:
             out_ports.setdefault(src, []).append(src_port)
         self._out_ports = {
             name: tuple(sorted(ports)) for name, ports in out_ports.items()
         }
-        # Batch fast path: join-free linear runs of the graph collapse
-        # into precompiled segments (flat lists of bound push_batch
-        # callables), so a batch crosses a segment with zero adjacency
-        # lookups.  Entries are keyed by (element, input port); anything
-        # not precompiled here (mid-graph injection) compiles lazily.
-        self._batch_segments: Dict[Tuple[str, int], tuple] = {}
+        self._acct = accounting_for(
+            obs, self.elements, self._adjacency, self._sink_names
+        )
+        # use_columns=None means "on whenever numpy is importable".
+        self._use_columns = columnar.available() and (
+            use_columns is None or bool(use_columns)
+        )
+        self.columnar_batches = 0
+        self.columnar_packets = 0
+        self.columnar_fallbacks = 0
+        # Plans are compiled here for source entries and partition
+        # targets, and lazily for any other injection point.
+        self._plans: Dict[Tuple[str, int], SegmentPlan] = {}
         roots = {(name, 0) for name in config.sources()}
         for (src, _sp), dst_key in self._adjacency.items():
             if len(self._out_ports[src]) > 1:
                 roots.add(dst_key)
         for entry in roots:
-            if entry not in self._batch_segments:
-                self._compile_segment(*entry)
-        # Columnar tier: segments whose elements all carry vectorized
-        # kernels compile (lazily) to column plans; use_columns=None
-        # means "on whenever numpy is importable".
-        self._use_columns = (
-            columnar.available() if use_columns is None
-            else bool(use_columns) and columnar.available()
-        )
-        self._column_plans: Dict[Tuple[str, int], Optional[tuple]] = {}
-        self.columnar_batches = 0
-        self.columnar_packets = 0
-        self.columnar_fallbacks = 0
-        self._obs = obs if obs is not None and obs.enabled else None
-        self._obs_mode: Optional[str] = None
-        if self._obs is not None:
-            self._bind_metrics(self._obs.metrics)
-            if self._obs_mode == "deferred":
-                self.process_batch = self._process_batch_deferred_obs
-            else:
-                self.process_batch = self._process_batch_exact_obs
+            self._compile_plan(entry)
+        self._walk, self._run_batch = self._build_executors()
         for element in self.elements.values():
             element.initialize(self)
-
-    def _bind_metrics(self, metrics) -> None:
-        """Pre-bind per-element metric children and swap in the
-        instrumented per-hop methods.
-
-        Two instrumentation strategies, chosen per configuration:
-
-        * **Deferred segment accounting** (the common case, installed
-          by ``_install_fast_path``): nothing is counted per hop; each
-          packet records one tally when its chain *terminates*, and a
-          collector expands those tallies into per-element counters by
-          walking the terminator's unique upstream chain.  Exact only
-          when every element has at most one upstream edge and none
-          duplicates packets, so...
-        * **Exact per-hop counting**: graphs with join elements or
-          multiplying elements (Tee, Multicast) pay for real counter
-          increments on every hop instead.
-        """
-        packets = metrics.counter(
-            "dataplane_packets_total",
-            "Packets entering each element", labels=("element",),
-        )
-        bytes_ = metrics.counter(
-            "dataplane_bytes_total",
-            "Bytes entering each element", labels=("element",),
-        )
-        drops = metrics.counter(
-            "dataplane_drops_total",
-            "Packets dropped by each non-buffering element",
-            labels=("element",),
-        )
-        egress = metrics.counter(
-            "dataplane_egress_total",
-            "Packets leaving through each sink", labels=("element",),
-        )
-        self._h_latency = metrics.histogram(
-            "dataplane_egress_latency_seconds",
-            "Simulated seconds from injection to egress",
-        )
-        self._m_unrouted = metrics.counter(
-            "dataplane_unrouted_drops_total",
-            "Packets dropped on unconnected output ports",
-        )
-        self._q_depth = metrics.gauge(
-            "dataplane_queue_depth",
-            "Buffered packets per queueing element", labels=("element",),
-        )
-        metrics.register_collector(self.observe_queue_depths)
-        indegree: Dict[str, int] = {}
-        for dst, _port in self._adjacency.values():
-            indegree[dst] = indegree.get(dst, 0) + 1
-        join_free = all(n <= 1 for n in indegree.values())
-        multiplies = any(
-            element.is_multiplying for element in self.elements.values()
-        )
-        if join_free and not multiplies:
-            self._parent = {
-                dst: src
-                for (src, _sp), (dst, _dp) in self._adjacency.items()
-            }
-            self._segments: Dict[tuple, List] = {}
-            self._seg_memo: Optional[tuple] = None
-            self._lat_counts: Dict[float, int] = {}
-            self._cur_entry: object = None
-            self._cur_ingress = 0.0
-            self._unrouted_flushed = 0
-            self._m_children = {}
-            for n, e in self.elements.items():
-                is_sink = n in self._sink_names
-                self._m_children[n] = (
-                    packets.labels(n),
-                    bytes_.labels(n),
-                    None if (is_sink or e.is_buffering)
-                    else drops.labels(n),
-                    egress.labels(n) if is_sink else None,
-                )
-            metrics.register_collector(self._flush_segments)
-            self._obs_mode = "deferred"
-            self._install_fast_path()
-            return
-        # Exact per-hop counting: one dict lookup per hop yielding the
-        # (inc packets, inc bytes) bound methods.
-        self._m_hop = {
-            n: (packets.labels(n).inc, bytes_.labels(n).inc)
-            for n in self.elements
-        }
-        # Buffering elements legitimately return no packets from push();
-        # only non-buffering ones count an empty result as a drop.
-        self._m_drops = {
-            n: drops.labels(n) for n, e in self.elements.items()
-            if not e.is_buffering
-        }
-        self._m_egress = {n: egress.labels(n) for n in self._sink_names}
-        self._obs_mode = "exact"
-        self._push = self._push_observed
-        self._route = self._route_observed
-        self.inject = self._inject_observed
-
-    def observe_queue_depths(self) -> None:
-        """Sample buffered-packet counts into the queue-depth gauge."""
-        if self._obs is None:
-            return
-        for name, element in self.elements.items():
-            buffer = getattr(element, "buffer", None)
-            if buffer is not None:
-                self._q_depth.labels(name).set(len(buffer))
-            elif hasattr(element, "backlog"):
-                self._q_depth.labels(name).set(element.backlog)
 
     # -- time ------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
@@ -275,20 +209,34 @@ class Runtime:
         """
         if element not in self.elements:
             raise ConfigError("inject into unknown element %r" % (element,))
-        if at is not None:
-            if at < self.now:
-                raise SimulationError("cannot inject in the past")
-            self.schedule(
-                at - self.now, lambda: self._push(element, port, packet)
-            )
+        if at is None:
+            self._walk(element, port, packet, element, self.now)
             return
-        self._push(element, port, packet)
+        if at < self.now:
+            raise SimulationError("cannot inject in the past")
+        self.schedule(
+            at - self.now, lambda: self.inject(element, packet, port)
+        )
 
     def deliver_from(self, element: Element, port: int, packet) -> None:
         """Route a packet emitted asynchronously by ``element``."""
-        self._route(element.name, port, packet)
+        name = element.name
+        acct = self._acct
+        # A buffered packet re-enters the graph: its new chain starts
+        # *after* the buffering element (already counted when the
+        # packet entered it), and the original ingress time is read
+        # back from the buffer-entry annotation.
+        entry = ("x", name)
+        ingress = self.now if acct is None \
+            else packet.annotations.get(INGRESS, self.now)
+        nxt = self._adjacency.get((name, port))
+        if nxt is not None:
+            self._walk(nxt[0], nxt[1], packet, entry, ingress)
+            return
+        self.dropped += 1
+        if acct is not None:
+            acct.unrouted(entry, name, 1, packet.length)
 
-    # -- batch traffic ------------------------------------------------------
     def inject_batch(
         self,
         element: str,
@@ -298,15 +246,16 @@ class Runtime:
     ) -> None:
         """Hand a whole batch of packets to input ``port`` of ``element``.
 
-        The batch path drives packets through precompiled segments of
-        the element graph (see :meth:`_compile_segment`), calling each
-        element's :meth:`~repro.click.element.Element.push_batch` once
-        per batch instead of scalar ``push()`` once per packet.
-        Semantics match looping :meth:`inject` over ``packets``, with
-        one caveat: when the batch partitions at a multi-output
-        element, packets taking different branches may interleave
-        differently at the sinks than strict per-packet order (order
-        *within* each branch is preserved).
+        The batch executor drives packets through compiled segment
+        plans (see :meth:`_compile_plan`), calling each element's
+        :meth:`~repro.click.element.Element.push_batch` -- or, where
+        the plan and the batch allow it, its column kernel -- once per
+        batch instead of scalar ``push()`` once per packet.  Semantics
+        match looping :meth:`inject` over ``packets``, with one caveat:
+        when the batch partitions at a multi-output element, packets
+        taking different branches may interleave differently at the
+        sinks than strict per-packet order (order *within* each branch
+        is preserved).
 
         With ``at`` set, the whole batch is deferred to that simulated
         time (timers scheduled before it fire first).
@@ -321,726 +270,241 @@ class Runtime:
                 raise SimulationError("cannot inject in the past")
             self.schedule(
                 at - self.now,
-                lambda: self.process_batch(element, packets, port),
+                lambda: self.inject_batch(element, packets, port),
             )
-            return
-        self.process_batch(element, packets, port)
+        elif self._acct is not None and self._acct.per_packet:
+            for packet in packets:
+                self._walk(element, port, packet, element, self.now)
+        else:
+            self._run_batch(element, port, packets)
 
-    def process_batch(self, element: str, packets: List, port: int = 0):
-        """Drive ``packets`` synchronously from ``element``'s ``port``.
+    # -- plans -----------------------------------------------------------
+    def _compile_plan(self, key: Tuple[str, int]) -> SegmentPlan:
+        """Compile the linear run of the graph starting at ``key``.
 
-        Uninstrumented segment executor; when observability is enabled
-        the constructor rebinds this name to an instrumented variant
-        (deferred tallies, or a per-packet scalar fallback when the
-        graph needs exact per-hop counting).
+        While an element has exactly one connected output port the walk
+        follows its adjacency edge, so a batch crosses the whole run
+        with zero adjacency lookups.  It stops after a sink, at an
+        element without exactly one connected output (the executor
+        dispatches its groups generically), and at a cycle (the last
+        step's emission re-enters the worklist through the adjacency
+        map like any other).
+
+        The plan is columnar only when *every* step carries a
+        vectorized kernel and none buffers; otherwise
+        ``why_not_columns`` names the first step that rules it out.
         """
-        segments = self._batch_segments
-        adjacency_get = self._adjacency_get
-        output_append = self.output.append
-        record = EgressRecord
-        now = self.now
-        dropped = 0
-        use_columns = self._use_columns
-        column_plans = self._column_plans
-        min_batch = columnar.MIN_BATCH
-        run_plan = self._run_column_plan
-        work = [(element, port, packets)]
-        pop = work.pop
-        while work:
-            name, in_port, pkts = pop()
-            if use_columns and len(pkts) >= min_batch:
-                try:
-                    plan = column_plans[(name, in_port)]
-                except KeyError:
-                    plan = self._compile_column_plan((name, in_port))
-                if plan is not None and run_plan(
-                    plan, pkts, work, None, now
-                ):
-                    continue
-            try:
-                steps, terminal = segments[(name, in_port)]
-            except KeyError:
-                steps, terminal = self._compile_segment(name, in_port)
-            for push_batch, step_port, cont, step_name, _buf in steps:
-                groups = push_batch(step_port, pkts)
-                if not groups:
-                    break
-                if cont is not None and len(groups) == 1 \
-                        and groups[0][0] == cont:
-                    pkts = groups[0][1]
-                    continue
-                # Partition point, or an off-chain emission (e.g.
-                # DecIPTTL's expiry port): dispatch each group through
-                # the adjacency map as a fresh work item.  Reversed, so
-                # the first group is popped (and fully processed)
-                # first, like depth-first scalar routing.
-                for out_port, sub in reversed(groups):
-                    nxt = adjacency_get((step_name, out_port))
-                    if nxt is None:
-                        dropped += len(sub)
-                    else:
-                        work.append((nxt[0], nxt[1], sub))
-                break
-            else:
-                if terminal[0] == "sink":
-                    _kind, sink_push_batch, sink_name, sink_port = terminal
-                    for _out_port, sub in sink_push_batch(sink_port, pkts):
-                        for pkt in sub:
-                            output_append(record(sink_name, pkt, now))
-                else:  # "enter": the chain loops back into the graph
-                    work.append((terminal[1], terminal[2], pkts))
-        if dropped:
-            self.dropped += dropped
-
-    def _process_batch_exact_obs(
-        self, element: str, packets: List, port: int = 0
-    ) -> None:
-        """Batch entry for exact per-hop counting mode.
-
-        Graphs with joins or multiplying elements need real counter
-        increments on every hop, which per-batch accounting cannot
-        reconstruct; correctness wins over speed, so the batch falls
-        back to per-packet scalar injection.
-        """
-        inject = self.inject
-        for packet in packets:
-            inject(element, packet, port)
-
-    def _process_batch_deferred_obs(
-        self, element: str, packets: List, port: int = 0
-    ) -> None:
-        """Batch executor for the deferred-accounting fast path.
-
-        One ``[packets, bytes]`` tally is recorded per batch
-        *termination* -- an egress group, a shrink at a dropping or
-        buffering step, an unconnected port -- instead of one per
-        packet, so obs-enabled batch mode keeps the per-batch cost
-        profile of the plain executor.  Tallies land in the same
-        ``(entry, terminator, kind)`` table the scalar fast path uses
-        and are expanded by ``_flush_segments`` unchanged.  Byte
-        attribution for mid-segment shrinks is the before/after length
-        difference, which is exact unless an element both rewrites
-        packet lengths and drops in the same step (no registered
-        element does).
-        """
-        ingress = self.now
-        self._cur_entry = element
-        self._cur_ingress = ingress
-        segments = self._batch_segments
-        seg_tallies = self._segments
-        lat_counts = self._lat_counts
-        adjacency_get = self._adjacency_get
-        output_append = self.output.append
-        record = EgressRecord
-        now = self.now
-        dropped = 0
-        work = [(element, port, packets)]
-        pop = work.pop
-
-        def tally(term, kind, n, nbytes):
-            key = (element, term, kind)
-            try:
-                seg = seg_tallies[key]
-            except KeyError:
-                seg = seg_tallies[key] = [0, 0]
-            seg[0] += n
-            seg[1] += nbytes
-
-        use_columns = self._use_columns
-        column_plans = self._column_plans
-        min_batch = columnar.MIN_BATCH
-        run_plan = self._run_column_plan
-        while work:
-            name, in_port, pkts = pop()
-            if use_columns and len(pkts) >= min_batch:
-                try:
-                    plan = column_plans[(name, in_port)]
-                except KeyError:
-                    plan = self._compile_column_plan((name, in_port))
-                if plan is not None and run_plan(
-                    plan, pkts, work, tally, ingress
-                ):
-                    continue
-            try:
-                steps, terminal = segments[(name, in_port)]
-            except KeyError:
-                steps, terminal = self._compile_segment(name, in_port)
-            for push_batch, step_port, cont, step_name, buffering in steps:
-                n_in = len(pkts)
-                if buffering:
-                    # End-to-end latency must survive the buffer: the
-                    # drain path (deliver_from) reads this stamp back.
-                    for pkt in pkts:
-                        pkt.annotations["obs.ingress"] = ingress
-                groups = push_batch(step_port, pkts)
-                n_out = 0
-                for _out_port, sub in groups:
-                    n_out += len(sub)
-                if n_out != n_in:
-                    lost_bytes = sum(p.length for p in pkts)
-                    for _out_port, sub in groups:
-                        for p in sub:
-                            lost_bytes -= p.length
-                    tally(
-                        step_name,
-                        "pass" if buffering else "drop",
-                        n_in - n_out,
-                        lost_bytes,
-                    )
-                if not groups:
-                    break
-                if cont is not None and len(groups) == 1 \
-                        and groups[0][0] == cont:
-                    pkts = groups[0][1]
-                    continue
-                for out_port, sub in reversed(groups):
-                    nxt = adjacency_get((step_name, out_port))
-                    if nxt is None:
-                        dropped += len(sub)
-                        tally(
-                            step_name, "pass", len(sub),
-                            sum(p.length for p in sub),
-                        )
-                    else:
-                        work.append((nxt[0], nxt[1], sub))
-                break
-            else:
-                if terminal[0] == "sink":
-                    _kind, sink_push_batch, sink_name, sink_port = terminal
-                    for _out_port, sub in sink_push_batch(sink_port, pkts):
-                        n = 0
-                        nbytes = 0
-                        for pkt in sub:
-                            output_append(record(sink_name, pkt, now))
-                            n += 1
-                            nbytes += pkt.length
-                        tally(sink_name, "egress", n, nbytes)
-                        if now != ingress:
-                            lat = now - ingress
-                            try:
-                                lat_counts[lat] += n
-                            except KeyError:
-                                lat_counts[lat] = n
-                else:
-                    work.append((terminal[1], terminal[2], pkts))
-        if dropped:
-            self.dropped += dropped
-
-    def _compile_segment(self, name: str, port: int) -> tuple:
-        """Compile the linear run of the graph starting at (name, port).
-
-        A segment is a flat tuple of ``(push_batch, in_port,
-        continue_port, element_name, is_buffering)`` steps plus a
-        terminal.  While an element has exactly one connected output
-        port the walk follows its adjacency edge, so the batch executor
-        crosses the whole run with zero adjacency lookups (each step's
-        ``continue_port`` says which port the batch is expected on; any
-        deviation falls back to generic dispatch).  The walk stops at
-        sinks (terminal ``("sink", push_batch, name, port)``), at
-        elements without exactly one connected output (the last step's
-        ``continue_port`` is None and the executor dispatches its
-        groups generically), and at cycles (terminal ``("enter", name,
-        port)`` re-enters the executor's worklist).  Segments are
-        compiled for source entries and partition targets at
-        construction, and lazily for any other injection point.
-        """
-        key = (name, port)
         steps: List[tuple] = []
-        terminal: Optional[tuple] = None
+        terminal: Optional[Tuple[str, str]] = None
+        why_not = None if self._use_columns else "columnar tier is off"
+        fields: set = set()
+        acct = self._acct
+        need_length = acct is not None and acct.needs_length
         seen = set()
         cur = key
         while True:
-            cur_name, cur_port = cur
-            element = self.elements[cur_name]
-            if cur_name in self._sink_names:
-                terminal = ("sink", element.push_batch, cur_name, cur_port)
-                break
-            if cur in seen:
-                terminal = ("enter", cur_name, cur_port)
-                break
+            name, in_port = cur
+            element = self.elements[name]
             seen.add(cur)
-            outs = self._out_ports.get(cur_name, ())
-            if len(outs) == 1:
-                steps.append((
-                    element.push_batch, cur_port, outs[0], cur_name,
-                    element.is_buffering,
-                ))
-                cur = self._adjacency[(cur_name, outs[0])]
-            else:
-                steps.append((
-                    element.push_batch, cur_port, None, cur_name,
-                    element.is_buffering,
-                ))
-                break
-        segment = (tuple(steps), terminal)
-        self._batch_segments[key] = segment
-        return segment
-
-    # -- columnar fast path --------------------------------------------------
-    def _compile_column_plan(self, key: Tuple[str, int]) -> Optional[tuple]:
-        """Compile the batch segment at ``key`` into a column plan.
-
-        A plan exists only when *every* step of the segment (and its
-        sink, if any) carries a vectorized kernel and none buffers --
-        otherwise batches cross the segment via ``push_batch``.  The
-        plan is ``(steps, terminal, fields, need_length)``: steps are
-        ``(push_columns, in_port, continue_port, element_name)``,
-        ``fields`` is the union of every kernel's column needs, and
-        ``need_length`` says whether the packet-length column must be
-        lifted up front (counters, or deferred byte accounting).
-        """
-        try:
-            steps, terminal = self._batch_segments[key]
-        except KeyError:
-            steps, terminal = self._compile_segment(*key)
-        fields: set = set()
-        need_length = self._obs_mode == "deferred"
-        kernel_steps: List[tuple] = []
-        plan: Optional[tuple] = None
-        for _push_batch, step_port, cont, step_name, buffering in steps:
-            element = self.elements[step_name]
-            if buffering or not element.has_column_kernel:
-                break
-            kernel_steps.append(
-                (element.push_columns, step_port, cont, step_name)
-            )
+            if why_not is None and element.is_buffering:
+                why_not = "%s buffers" % (name,)
+            elif why_not is None and not element.has_column_kernel:
+                why_not = "%s: %s has no column kernel" % (
+                    name, element.class_name,
+                )
             fields.update(element.column_fields)
             need_length = need_length or element.needs_length_column
-        else:
-            if terminal is not None and terminal[0] == "sink":
-                sink_name = terminal[2]
-                sink = self.elements[sink_name]
-                if sink.has_column_kernel:
-                    fields.update(sink.column_fields)
-                    need_length = need_length or sink.needs_length_column
-                    plan = (
-                        tuple(kernel_steps),
-                        ("sink", sink.push_columns, sink_name, terminal[3]),
-                        tuple(sorted(fields)),
-                        need_length,
-                    )
-            else:
-                plan = (
-                    tuple(kernel_steps), terminal,
-                    tuple(sorted(fields)), need_length,
-                )
-        self._column_plans[key] = plan
+            outs = self._out_ports.get(name, ())
+            cont = outs[0] if len(outs) == 1 else None
+            if name in self._sink_names:
+                terminal = ("sink", name)
+                cont = None
+            elif cont is not None:
+                cur = self._adjacency[(name, cont)]
+                if cur in seen:
+                    terminal = ("enter", cur[0])
+                    cont = None
+            steps.append((
+                element.push_batch,
+                element.push_columns if element.has_column_kernel else None,
+                in_port, cont, name,
+            ))
+            if cont is None:
+                break
+        plan = self._plans[key] = SegmentPlan(
+            tuple(steps), terminal,
+            tuple(sorted(fields)) if why_not is None else None,
+            need_length, why_not, "none" if acct is None else acct.mode,
+        )
         return plan
 
-    def _run_column_plan(
-        self, plan: tuple, pkts: List, work: List, tally, ingress: float
-    ) -> bool:
-        """Drive one batch through a column plan.
+    def segment_plan(
+        self, element: str, port: int = 0
+    ) -> Optional[SegmentPlan]:
+        """The plan compiled for ``(element, port)``, for inspection.
 
-        Returns False (without side effects) when the batch cannot be
-        lifted -- a side-table column -- so the caller falls back to
-        the ``push_batch`` segment.  ``work`` receives materialized
-        batches for ports leaving the plan; ``tally`` is the deferred
-        accounting closure (or None when obs is off), fed exactly like
-        the batch executor feeds it: one drop tally per shrinking step
-        with byte-diff attribution, one pass tally per unrouted group,
-        one egress tally per sink group.
+        ``None`` when that entry has not been compiled (yet): mid-graph
+        entries compile on first use, and looking does not compile.
         """
-        steps, terminal, fields, need_length = plan
-        cols = columnar.PacketColumns.from_packets(
-            pkts, fields, need_length
-        )
-        if cols.side:
-            self.columnar_fallbacks += 1
-            return False
-        self.columnar_batches += 1
-        self.columnar_packets += cols.n
-        adjacency_get = self._adjacency_get
-        output_append = self.output.append
-        record = EgressRecord
-        now = self.now
-        for push_columns, step_port, cont, step_name in steps:
-            if tally is not None:
-                before_n = cols.n_alive
-                before_b = cols.bytes_alive()
-            groups = push_columns(step_port, cols)
-            if tally is not None:
-                after_n = 0
-                after_b = 0
-                for _out_port, sub in groups:
-                    after_n += sub.n_alive
-                    after_b += sub.bytes_alive()
-                if after_n != before_n:
-                    tally(
-                        step_name, "drop",
-                        before_n - after_n, before_b - after_b,
-                    )
-            if not groups:
-                return True
-            if cont is not None and len(groups) == 1 \
-                    and groups[0][0] == cont:
-                cols = groups[0][1]
-                continue
-            # The plan ends here: dispatch each group through the
-            # adjacency map, materializing rows back to packets.
-            for out_port, sub in reversed(groups):
-                nxt = adjacency_get((step_name, out_port))
-                if nxt is None:
-                    self.dropped += sub.n_alive
-                    if tally is not None:
-                        tally(
-                            step_name, "pass",
-                            sub.n_alive, sub.bytes_alive(),
-                        )
-                else:
-                    work.append((nxt[0], nxt[1], sub.to_packets()))
-            return True
-        if terminal[0] == "sink":
-            _kind, sink_push_columns, sink_name, sink_port = terminal
-            output_extend = self.output.extend
-            repeat = itertools.repeat
-            for _out_port, sub in sink_push_columns(sink_port, cols):
-                out = sub.to_packets()
-                # tuple.__new__ over a zipped iterator is the cheapest
-                # way to mint NamedTuple records in bulk (~2x faster
-                # than _make or a comprehension on this path).
-                output_extend(map(
-                    tuple.__new__, repeat(record),
-                    zip(repeat(sink_name), out, repeat(now)),
-                ))
-                if tally is not None:
-                    n = len(out)
-                    tally(sink_name, "egress", n, sub.bytes_alive())
-                    if now != ingress:
-                        lat_counts = self._lat_counts
-                        lat = now - ingress
-                        try:
-                            lat_counts[lat] += n
-                        except KeyError:
-                            lat_counts[lat] = n
-        else:  # "enter": the chain loops back into the graph
-            work.append((terminal[1], terminal[2], cols.to_packets()))
-        return True
+        return self._plans.get((element, port))
 
-    # -- internals ---------------------------------------------------------
-    def _push(self, name: str, port: int, packet) -> None:
-        element = self.elements[name]
-        results = element.push(port, packet)
-        for out_port, out_packet in results:
-            self._route(name, out_port, out_packet)
+    # -- executors -------------------------------------------------------
+    def _build_executors(self):
+        """Build the scalar and the batch worklist, once per runtime.
 
-    def _route(self, src: str, port: int, packet) -> None:
-        # Iterative worklist rather than _route/_push mutual recursion,
-        # so arbitrarily deep linear configurations cannot blow the
-        # interpreter stack.  The stack holds pending *route* operations
-        # and later siblings are appended in reverse, which reproduces
-        # the recursive depth-first order exactly: an element's first
-        # emission (and its entire downstream subtree) resolves before
-        # its second emission.
-        elements = self.elements
-        sink_names = self._sink_names
-        adjacency_get = self._adjacency_get
-        output_append = self.output.append
-        stack = [(src, port, packet)]
-        pop = stack.pop
-        while stack:
-            src, port, packet = pop()
-            if src in sink_names:
-                output_append(EgressRecord(src, packet, self.now))
-                continue
-            nxt = adjacency_get((src, port))
-            if nxt is None:
-                # Unconnected output port: Click would refuse to
-                # initialize; we count it as a drop to keep
-                # partially-wired tests simple.
-                self.dropped += 1
-                continue
-            name = nxt[0]
-            results = elements[name].push(nxt[1], packet)
-            if not results:
-                continue
-            if len(results) == 1:
-                stack.append((name, results[0][0], results[0][1]))
-            else:
-                stack.extend(
-                    (name, out_port, out_packet)
-                    for out_port, out_packet in reversed(results)
-                )
-
-    # -- instrumented variants (installed by _bind_metrics) ----------------
-    def _inject_observed(
-        self,
-        element: str,
-        packet,
-        port: int = 0,
-        at: Optional[float] = None,
-    ) -> None:
-        # Stamp the ingress time once, at injection, so the egress
-        # latency histogram costs nothing on the per-hop path.
-        annotations = getattr(packet, "annotations", None)
-        if annotations is not None and "obs.ingress" not in annotations:
-            annotations["obs.ingress"] = self.now if at is None else at
-        Runtime.inject(self, element, packet, port=port, at=at)
-
-    def _push_observed(self, name: str, port: int, packet) -> None:
-        inc_packets, inc_bytes = self._m_hop[name]
-        inc_packets()
-        inc_bytes(packet.length)
-        element = self.elements[name]
-        results = element.push(port, packet)
-        if not results:
-            drop = self._m_drops.get(name)
-            if drop is not None:
-                drop.inc()
-            return
-        for out_port, out_packet in results:
-            self._route(name, out_port, out_packet)
-
-    def _route_observed(self, src: str, port: int, packet) -> None:
-        # Same worklist shape as the uninstrumented _route (exact
-        # depth-first order, no recursion), with per-hop counters.
-        elements = self.elements
-        sink_names = self._sink_names
-        adjacency_get = self._adjacency_get
-        output_append = self.output.append
-        m_hop = self._m_hop
-        m_drops_get = self._m_drops.get
-        stack = [(src, port, packet)]
-        pop = stack.pop
-        while stack:
-            src, port, packet = pop()
-            if src in sink_names:
-                output_append(EgressRecord(src, packet, self.now))
-                self._m_egress[src].inc()
-                ingress = packet.annotations.get("obs.ingress")
-                if ingress is not None:
-                    self._h_latency.observe(self.now - ingress)
-                continue
-            nxt = adjacency_get((src, port))
-            if nxt is None:
-                self.dropped += 1
-                self._m_unrouted.inc()
-                continue
-            name = nxt[0]
-            inc_packets, inc_bytes = m_hop[name]
-            inc_packets()
-            inc_bytes(packet.length)
-            results = elements[name].push(nxt[1], packet)
-            if not results:
-                drop = m_drops_get(name)
-                if drop is not None:
-                    drop.inc()
-                continue
-            if len(results) == 1:
-                stack.append((name, results[0][0], results[0][1]))
-            else:
-                stack.extend(
-                    (name, out_port, out_packet)
-                    for out_port, out_packet in reversed(results)
-                )
-
-    # -- deferred-segment fast path (join-free graphs) ----------------------
-    def _install_fast_path(self) -> None:
-        """Install closure-based hot-path handlers.
-
-        The engine is synchronous and single-threaded, so "which packet
-        is in flight" is runtime state, not per-packet state: injection
-        sets the current entry element and ingress time, and nothing is
-        recorded until the packet's chain terminates (egress, drop,
-        buffer entry, or an unconnected port).  Each termination bumps
-        one ``[packets, bytes]`` tally keyed by ``(entry, terminator,
-        kind)``; ``_flush_segments`` expands the tallies into the real
-        counters.  Everything hot is bound as a closure variable so the
-        instrumented path pays no ``self`` attribute chasing.
+        Everything hot is bound as a closure variable so neither loop
+        chases ``self`` attributes per packet, and the accounting
+        sink's events are locals that are ``None`` when obs is off.
         """
         rt = self
-        elements = self.elements
+        acct = self._acct
+        egress = end = unrouted = None
+        pushes = {name: e.push for name, e in self.elements.items()}
+        if acct is not None:
+            egress, end, unrouted = acct.egress, acct.end, acct.unrouted
+            pushes = acct.wrap_pushes(pushes)
         sink_names = self._sink_names
-        adjacency_get = self._adjacency_get
-        segments = self._segments
-        lat_counts = self._lat_counts
+        adjacency_get = self._adjacency.get
+        plans = self._plans
+        compile_plan = self._compile_plan
         output_append = self.output.append
+        output_extend = self.output.extend
         record = EgressRecord
+        repeat = itertools.repeat
+        lift = columnar.PacketColumns.from_packets
 
-        def end_segment(name, kind, packet):
-            key = (rt._cur_entry, name, kind)
-            try:
-                seg = segments[key]
-            except KeyError:
-                seg = segments[key] = [0, 0]
-            seg[0] += 1
-            seg[1] += packet.length
-
-        def push(name, port, packet):
-            element = elements[name]
-            results = element.push(port, packet)
-            if results:
-                for out_port, out_packet in results:
-                    route(name, out_port, out_packet)
-                return
-            # The chain ends here: a drop, or entry into a buffer.
-            if element.is_buffering:
-                end_segment(name, "pass", packet)
-                # Remember the original ingress so end-to-end latency
-                # survives the buffer (read back in deliver_from).
-                packet.annotations["obs.ingress"] = rt._cur_ingress
-            else:
-                end_segment(name, "drop", packet)
-
-        def route(src, port, packet):
-            # Iterative worklist (same shape and ordering argument as
-            # the uninstrumented _route): no recursion on deep chains.
-            stack = [(src, port, packet)]
+        def walk(name, port, packet, entry, ingress):
+            # Iterative worklist rather than recursion, so arbitrarily
+            # deep linear configurations cannot blow the interpreter
+            # stack.  The stack holds pending deliveries and later
+            # siblings are appended in reverse, which reproduces the
+            # recursive depth-first order exactly: an element's first
+            # emission (and its entire downstream subtree) resolves
+            # before its second emission.
+            stack = [(name, port, packet)]
             pop = stack.pop
             while stack:
-                src, port, packet = pop()
-                if src in sink_names:
-                    now = rt.now
-                    output_append(record(src, packet, now))
-                    # One-entry memo: a train of packets from the same
-                    # entry to the same sink skips the keyed lookup.
-                    memo = rt._seg_memo
-                    if memo is not None and memo[1] is src \
-                            and memo[0] is rt._cur_entry:
-                        seg = memo[2]
-                    else:
-                        key = (rt._cur_entry, src, "egress")
-                        try:
-                            seg = segments[key]
-                        except KeyError:
-                            seg = segments[key] = [0, 0]
-                        rt._seg_memo = (rt._cur_entry, src, seg)
-                    seg[0] += 1
-                    seg[1] += packet.length
-                    ingress = rt._cur_ingress
-                    if now != ingress:
-                        lat = now - ingress
-                        try:
-                            lat_counts[lat] += 1
-                        except KeyError:
-                            lat_counts[lat] = 1
-                    # Zero-latency observations are not recorded per
-                    # packet: the flush derives them as (egress
-                    # packets) minus (non-zero latency observations).
-                    continue
-                nxt = adjacency_get((src, port))
-                if nxt is None:
-                    rt.dropped += 1
-                    end_segment(src, "pass", packet)
-                    continue
-                name = nxt[0]
-                element = elements[name]
-                results = element.push(nxt[1], packet)
+                name, port, packet = pop()
+                results = pushes[name](port, packet)
                 if not results:
-                    # The chain ends here: a drop, or buffer entry.
-                    if element.is_buffering:
-                        end_segment(name, "pass", packet)
-                        packet.annotations["obs.ingress"] = \
-                            rt._cur_ingress
-                    else:
-                        end_segment(name, "drop", packet)
+                    # The chain ends here: a drop, or entry into a buffer.
+                    if end is not None:
+                        end(entry, ingress, name, 1, packet.length, (packet,))
+                    continue
+                if name in sink_names:
+                    now = rt.now
+                    for _port, out in results:
+                        output_append(record(name, out, now))
+                        if egress is not None:
+                            egress(entry, ingress, name, 1, out.length, now)
                     continue
                 if len(results) == 1:
-                    stack.append((name, results[0][0], results[0][1]))
-                else:
-                    stack.extend(
-                        (name, out_port, out_packet)
-                        for out_port, out_packet in reversed(results)
-                    )
+                    nxt = adjacency_get((name, results[0][0]))
+                    if nxt is not None:
+                        stack.append((nxt[0], nxt[1], results[0][1]))
+                        continue
+                for out_port, out in reversed(results):
+                    nxt = adjacency_get((name, out_port))
+                    if nxt is not None:
+                        stack.append((nxt[0], nxt[1], out))
+                        continue
+                    # Unconnected output port: Click would refuse to
+                    # initialize; we count it as a drop to keep
+                    # partially-wired tests simple.
+                    rt.dropped += 1
+                    if unrouted is not None:
+                        unrouted(entry, name, 1, out.length)
 
-        def inject(element, packet, port=0, at=None):
-            if element not in elements:
-                raise ConfigError(
-                    "inject into unknown element %r" % (element,)
-                )
-            if at is not None:
-                if at < rt.now:
-                    raise SimulationError("cannot inject in the past")
+        def run_lists(plan, pkts, entry, ingress):
+            """Cross ``plan`` via ``push_batch``; what its end emitted."""
+            for push_batch, _kernel, in_port, cont, name in plan.steps:
+                groups = push_batch(in_port, pkts)
+                if end is not None:
+                    lost = len(pkts) - sum(len(sub) for _p, sub in groups)
+                    if lost:
+                        # Byte attribution is the before/after length
+                        # difference: exact unless an element both
+                        # rewrites lengths and drops in one step (no
+                        # registered element does).
+                        nbytes = _nbytes(pkts) - sum(
+                            _nbytes(sub) for _p, sub in groups
+                        )
+                        end(entry, ingress, name, lost, nbytes, pkts)
+                if cont is None or len(groups) != 1 or groups[0][0] != cont:
+                    return name, groups
+                pkts = groups[0][1]
 
-                def fire():
-                    rt._cur_entry = element
-                    rt._cur_ingress = rt.now
-                    push(element, port, packet)
+        def run_columns(plan, pkts, entry, ingress):
+            """Cross ``plan`` as columns; ``None`` (without side
+            effects) when the batch cannot be lifted -- a side-table
+            column -- so the caller falls back to :func:`run_lists`.
+            Emitted groups are materialized back to packets."""
+            cols = lift(pkts, plan.column_fields, plan.need_length)
+            if cols.side:
+                rt.columnar_fallbacks += 1
+                return None
+            rt.columnar_batches += 1
+            rt.columnar_packets += cols.n
+            for _push_batch, kernel, in_port, cont, name in plan.steps:
+                if end is not None:
+                    # A kernel kills rows in place: count before it runs.
+                    n_in, bytes_in = cols.n_alive, cols.bytes_alive()
+                groups = kernel(in_port, cols)
+                if end is not None:
+                    lost = n_in - sum(sub.n_alive for _p, sub in groups)
+                    if lost:
+                        nbytes = bytes_in - sum(
+                            sub.bytes_alive() for _p, sub in groups
+                        )
+                        end(entry, ingress, name, lost, nbytes, ())
+                if cont is None or len(groups) != 1 or groups[0][0] != cont:
+                    return name, [(p, sub.to_packets()) for p, sub in groups]
+                cols = groups[0][1]
 
-                rt.schedule(at - rt.now, fire)
-                return
-            rt._cur_entry = element
-            rt._cur_ingress = rt.now
-            push(element, port, packet)
+        def run_batch(entry, port, packets):
+            now = rt.now
+            min_batch = columnar.MIN_BATCH
+            work = [(entry, port, packets)]
+            pop = work.pop
+            while work:
+                name, in_port, pkts = pop()
+                try:
+                    plan = plans[(name, in_port)]
+                except KeyError:
+                    plan = compile_plan((name, in_port))
+                emitted = None
+                if plan.column_fields is not None and len(pkts) >= min_batch:
+                    emitted = run_columns(plan, pkts, entry, now)
+                if emitted is None:
+                    emitted = run_lists(plan, pkts, entry, now)
+                src, groups = emitted
+                if src in sink_names:
+                    for _port, out in groups:
+                        # tuple.__new__ over a zipped iterator is the
+                        # cheapest way to mint NamedTuple records in
+                        # bulk (~2x faster than _make or a
+                        # comprehension on this path).
+                        output_extend(map(
+                            tuple.__new__, repeat(record),
+                            zip(repeat(src), out, repeat(now)),
+                        ))
+                        if egress is not None:
+                            egress(
+                                entry, now, src, len(out), _nbytes(out), now
+                            )
+                    continue
+                # Reversed, so the first group is popped (and fully
+                # processed) first, like depth-first scalar routing.
+                for out_port, sub in reversed(groups):
+                    nxt = adjacency_get((src, out_port))
+                    if nxt is not None:
+                        work.append((nxt[0], nxt[1], sub))
+                        continue
+                    rt.dropped += len(sub)
+                    if unrouted is not None:
+                        unrouted(entry, src, len(sub), _nbytes(sub))
 
-        def deliver_from(element, port, packet):
-            # A buffered packet re-enters the graph: the new segment
-            # starts *after* the buffering element (already counted
-            # when the packet entered it), and the original ingress
-            # time is read back from the buffer-entry annotation.
-            rt._cur_entry = ("x", element.name)
-            rt._cur_ingress = packet.annotations.get(
-                "obs.ingress", rt.now
-            )
-            route(element.name, port, packet)
-
-        self._push = push
-        self._route = route
-        self.inject = inject
-        self.deliver_from = deliver_from
-
-    def _flush_segments(self) -> None:
-        """Expand the recorded segments into the metric children.
-
-        Runs as a registry collector, so every snapshot/export sees
-        up-to-date counters.  For each segment the terminator's unique
-        upstream chain is walked back to the entry element; every
-        element on it receives the segment's packet and byte counts.
-        Drop terminations also feed the terminator's drop counter, and
-        egress terminations its egress counter plus the latency
-        histogram.  The hot path only records *non-zero* latencies, so
-        the zero-latency (synchronous traversal) count is derived here
-        as egress packets minus non-zero observations -- both tallies
-        cover the same flush interval, so the difference is exact.
-        """
-        egress_n = 0
-        segments = self._segments
-        if segments:
-            parent_get = self._parent.get
-            children = self._m_children
-            max_len = len(self.elements)
-            for (entry, term, kind), seg in segments.items():
-                n, nbytes = seg
-                exclusive = type(entry) is tuple
-                target = entry[1] if exclusive else entry
-                path = [term]
-                node = term
-                while node != target and len(path) <= max_len:
-                    node = parent_get(node)
-                    if node is None:
-                        break
-                    path.append(node)
-                if exclusive and path[-1] == target:
-                    path.pop()
-                for name in path:
-                    pc, bc, _dc, _ec = children[name]
-                    pc.inc(n)
-                    bc.inc(nbytes)
-                if kind == "drop":
-                    dc = children[term][2]
-                    if dc is not None:
-                        dc.inc(n)
-                elif kind == "egress":
-                    egress_n += n
-                    ec = children[term][3]
-                    if ec is not None:
-                        ec.inc(n)
-            segments.clear()
-            self._seg_memo = None
-        if self.dropped > self._unrouted_flushed:
-            self._m_unrouted.inc(self.dropped - self._unrouted_flushed)
-            self._unrouted_flushed = self.dropped
-        lat_counts = self._lat_counts
-        nonzero = 0
-        if lat_counts:
-            observe_count = self._h_latency.observe_count
-            while lat_counts:
-                value, count = lat_counts.popitem()
-                nonzero += count
-                observe_count(value, count)
-        zero = egress_n - nonzero
-        if zero > 0:
-            self._h_latency.observe_count(0.0, zero)
+        return walk, run_batch
 
     # -- introspection -----------------------------------------------------
     def numeric_element_state(self) -> Dict[str, Dict[str, float]]:
@@ -1068,7 +532,7 @@ class Runtime:
     def take_output(self) -> List[EgressRecord]:
         """Return and clear the collected egress records."""
         records = list(self.output)
-        # Clear in place: the fast path pre-binds ``output.append``, so
+        # Clear in place: the executors pre-bind ``output.append``, so
         # the list object must stay the same across the runtime's life.
         self.output.clear()
         return records

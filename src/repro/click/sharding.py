@@ -16,13 +16,11 @@ worker core.  :class:`ShardedRuntime` is that layer for this dataplane:
 
 **Execution backends.**  ``executor="process"`` runs each shard in a
 ``multiprocessing`` worker (fork-based where available) -- the real
-multi-core path.  ``executor="thread"`` runs shard loops in threads
-(GIL-bound, but exercises the same message protocol on platforms
-without fork), and ``executor="serial"`` executes shards inline in the
-calling process, which is what the differential tests use: identical
-partition/merge semantics, no concurrency.  ``"auto"`` picks
+multi-core path -- and ``executor="serial"`` executes shards inline in
+the calling process, which is what the differential tests use:
+identical partition/merge semantics, no concurrency.  ``"auto"`` picks
 ``process`` when fork is available and more than one shard was asked
-for.
+for, ``serial`` otherwise.
 
 **Semantics.**  Sharded egress is a *permutation* of single-process
 egress: every flow's packets stay in order (same flow -> same shard ->
@@ -42,8 +40,6 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import pickle
-import queue as _queue
-import threading
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.click.config import ClickConfig
@@ -228,51 +224,6 @@ class _SerialShard:
         pass
 
 
-class _ThreadShard:
-    """Shard executed by a dedicated thread (same protocol, no fork)."""
-
-    def __init__(self, config, obs_enabled, start_time, use_columns=None):
-        self.runtime, self.registry = _make_runtime(
-            config, obs_enabled, start_time, use_columns
-        )
-        self._inbox: _queue.Queue = _queue.Queue()
-        self._replies: _queue.Queue = _queue.Queue()
-        self._thread = threading.Thread(target=self._loop, daemon=True)
-        self._thread.start()
-
-    def _loop(self) -> None:
-        error: Optional[str] = None
-        while True:
-            message = self._inbox.get()
-            op = message[0]
-            if op == "close":
-                break
-            try:
-                if op == "collect":
-                    self._replies.put(_collect_reply(
-                        self.runtime, self.registry, message[1], error
-                    ))
-                    error = None
-                else:
-                    _execute(self.runtime, message)
-            except Exception as exc:
-                error = "%s: %s" % (type(exc).__name__, exc)
-
-    def submit(self, message: tuple) -> None:
-        self._inbox.put(message)
-
-    def collect(self, full: bool) -> tuple:
-        self._inbox.put(("collect", full))
-        return self._replies.get()
-
-    def is_alive(self) -> bool:
-        return self._thread.is_alive()
-
-    def close(self) -> None:
-        self._inbox.put(("close",))
-        self._thread.join(timeout=5.0)
-
-
 class _ProcessShard:
     """Shard executed by a persistent multiprocessing worker."""
 
@@ -326,7 +277,7 @@ class _ProcessShard:
             self._process.join(timeout=5.0)
 
 
-_EXECUTORS = ("auto", "process", "thread", "serial")
+_EXECUTORS = ("auto", "process", "serial")
 
 
 class ShardedRuntime:
@@ -401,11 +352,6 @@ class ShardedRuntime:
             self._shards = [
                 _ProcessShard(config, obs_enabled, start_time, ctx,
                               use_columns)
-                for _ in range(shards)
-            ]
-        elif executor == "thread":
-            self._shards = [
-                _ThreadShard(config, obs_enabled, start_time, use_columns)
                 for _ in range(shards)
             ]
         else:

@@ -148,7 +148,7 @@ class Histogram:
         """Record ``n`` identical observations with one bucket search.
 
         Deferred-accounting instrumentation (see
-        ``repro.click.runtime``) batches repeated values this way.
+        ``repro.click.accounting``) batches repeated values this way.
         """
         self.counts[bisect_left(self.bounds, value)] += n
         self.sum += value * n

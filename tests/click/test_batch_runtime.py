@@ -1,9 +1,10 @@
 """Tests for the batched dataplane fast path (Runtime.inject_batch).
 
-The segment compiler, the batch executors (plain, deferred-obs,
-exact-obs), deep-chain iteration limits, and the scheduling/error
-surface of ``inject_batch`` are covered here; element-by-element
-batch/scalar equivalence lives in ``test_batch_differential.py``.
+The plan compiler, the batch executor under each accounting mode
+(none, deferred, exact), deep-chain iteration limits, and the
+scheduling/error surface of ``inject_batch`` are covered here;
+element-by-element batch/scalar equivalence lives in
+``test_batch_differential.py``.
 """
 
 import pytest
@@ -119,30 +120,29 @@ class TestBatchExecution:
 class TestSegmentCompiler:
     def test_linear_chain_compiles_to_one_segment(self):
         runtime = Runtime(parse_config(FIREWALL))
-        steps, terminal = runtime._batch_segments[("src", 0)]
-        # src, CheckIPHeader, IPFilter, IPRewriter -- then the sink.
-        assert [step[3] for step in steps] == [
-            "src", "CheckIPHeader@1", "IPFilter@2", "IPRewriter@3",
-        ]
-        assert terminal[0] == "sink"
-        assert terminal[2] == "out"
+        plan = runtime.segment_plan("src")
+        assert plan.names == (
+            "src", "CheckIPHeader@1", "IPFilter@2", "IPRewriter@3", "out",
+        )
+        assert plan.terminal == ("sink", "out")
 
     def test_split_point_ends_the_segment(self):
         runtime = Runtime(parse_config(SPLIT))
-        steps, terminal = runtime._batch_segments[("src", 0)]
-        assert [step[3] for step in steps] == ["src", "c"]
-        assert steps[-1][2] is None  # multi-output: generic dispatch
-        assert terminal is None
+        plan = runtime.segment_plan("src")
+        assert plan.names == ("src", "c")
+        assert plan.continue_ports[-1] is None  # generic dispatch
+        assert plan.terminal is None
         # Both branch targets were precompiled as partition roots.
-        assert ("u", 0) in runtime._batch_segments
-        assert ("t", 0) in runtime._batch_segments
+        assert runtime.segment_plan("u") is not None
+        assert runtime.segment_plan("t") is not None
 
     def test_mid_graph_entry_compiles_lazily(self):
         runtime = Runtime(parse_config(FIREWALL))
-        key = ("IPFilter@2", 0)
-        assert key not in runtime._batch_segments
+        assert runtime.segment_plan("IPFilter@2") is None
         runtime.inject_batch("IPFilter@2", [udp_packet()])
-        assert key in runtime._batch_segments
+        assert runtime.segment_plan("IPFilter@2").names == (
+            "IPFilter@2", "IPRewriter@3", "out",
+        )
         assert len(runtime.output) == 1
 
 
@@ -189,7 +189,7 @@ class TestObservedBatches:
         scalar_obs, batch_obs = Observability(), Observability()
         scalar = Runtime(parse_config(FIREWALL), obs=scalar_obs)
         batch = Runtime(parse_config(FIREWALL), obs=batch_obs)
-        assert scalar._obs_mode == batch._obs_mode == "deferred"
+        assert scalar.segment_plan("src").accounting == "deferred"
         packets = [
             udp_packet(tp_src=i, ip_ttl=0 if i % 5 == 0 else 64)
             for i in range(50)
@@ -211,7 +211,7 @@ class TestObservedBatches:
         scalar_obs, batch_obs = Observability(), Observability()
         scalar = Runtime(parse_config(source), obs=scalar_obs)
         batch = Runtime(parse_config(source), obs=batch_obs)
-        assert scalar._obs_mode == batch._obs_mode == "exact"
+        assert scalar.segment_plan("src").accounting == "exact"
         packets = [udp_packet(tp_src=i) for i in range(20)]
         for packet in packets:
             scalar.inject("src", packet.copy())

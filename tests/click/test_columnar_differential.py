@@ -123,7 +123,9 @@ def test_kernel_less_segment_falls_back_entirely():
         " src0 -> dut; dut[0] -> out0; dut[1] -> out1;"
     ), use_columns=True)
     runtime.inject_batch("src0", forward_packets())
-    assert runtime._column_plans[("src0", 0)] is None
+    plan = runtime.segment_plan("src0")
+    assert plan.tier == "batch"
+    assert plan.why_not_columns == "dut: Tee has no column kernel"
     assert runtime.columnar_fallbacks == 0
     # Tee duplicated the train into both sinks.
     assert len(runtime.output) == 2 * len(forward_packets())

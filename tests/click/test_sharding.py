@@ -26,7 +26,7 @@ FIREWALL = """
     src -> fw -> out;
 """
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 def flow_packet(flow, seq=0, proto=TCP):
@@ -132,9 +132,10 @@ class TestConstruction:
         with pytest.raises(ConfigError, match="at least one shard"):
             ShardedRuntime(parse_config(FORWARDER), shards=0)
 
-    def test_rejects_unknown_executor(self):
+    @pytest.mark.parametrize("executor", ["gpu", "thread"])
+    def test_rejects_unknown_executor(self, executor):
         with pytest.raises(ConfigError, match="unknown shard executor"):
-            ShardedRuntime(parse_config(FORWARDER), executor="gpu")
+            ShardedRuntime(parse_config(FORWARDER), executor=executor)
 
     def test_fallback_collapses_to_one_serial_shard(self):
         config = parse_config("""

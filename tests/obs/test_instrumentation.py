@@ -3,17 +3,16 @@
 The Click runtime has two instrumentation strategies (deferred segment
 accounting on join-free graphs, exact per-hop counting otherwise); both
 are exercised here, along with the guarantee that an uninstrumented
-runtime keeps the original hot-path methods untouched.
+runtime registers nothing and stamps nothing on packets.
 """
 
 import pytest
 
-from repro.click import Packet, Runtime, TCP, UDP, parse_config
-from repro.click.runtime import Runtime as RuntimeClass
+from repro.click import Packet, Runtime, TCP, UDP, columnar, parse_config
 from repro.common.addr import parse_ip
 from repro.core import ClientRequest, Controller
 from repro.netmodel.examples import figure3_network
-from repro.obs import Observability
+from repro.obs import MetricsRegistry, Observability
 from repro.platform.orchestrator import PlatformOrchestrator
 
 LINEAR = """
@@ -28,6 +27,12 @@ BUFFERED = """
     src :: FromNetfront();
     out :: ToNetfront();
     src -> TimedUnqueue(120, 100) -> out;
+"""
+
+QUEUED = """
+    src :: FromNetfront();
+    out :: ToNetfront();
+    src -> Queue(100) -> Unqueue() -> out;
 """
 
 TEED = """
@@ -205,22 +210,70 @@ class TestExactPathRuntime:
         assert hist["sum"] == pytest.approx(0.0)
 
 
-class TestDisabledRuntime:
-    def test_no_obs_keeps_the_original_methods(self):
-        runtime = Runtime(parse_config(LINEAR))
-        # The fast path swaps per-instance callables in; without
-        # observability nothing may shadow the class methods.
-        for name in ("inject", "deliver_from", "_push", "_route"):
-            assert name not in vars(runtime), name
-            assert getattr(type(runtime), name) is \
-                getattr(RuntimeClass, name)
+class _RecordingRegistry(MetricsRegistry):
+    """An enabled registry that notes every registration made on it."""
 
-    def test_disabled_bundle_keeps_the_original_methods(self):
-        runtime = Runtime(
-            parse_config(LINEAR), obs=Observability(enabled=False),
-        )
-        for name in ("inject", "deliver_from", "_push", "_route"):
-            assert name not in vars(runtime), name
+    def __init__(self):
+        super().__init__(enabled=True)
+        self.registrations = []
+
+    def counter(self, name, *args, **kwargs):
+        self.registrations.append(name)
+        return super().counter(name, *args, **kwargs)
+
+    def gauge(self, name, *args, **kwargs):
+        self.registrations.append(name)
+        return super().gauge(name, *args, **kwargs)
+
+    def histogram(self, name, *args, **kwargs):
+        self.registrations.append(name)
+        return super().histogram(name, *args, **kwargs)
+
+    def register_collector(self, collector, key=None):
+        self.registrations.append(collector)
+        super().register_collector(collector, key)
+
+
+class TestDisabledRuntime:
+    """With obs absent or disabled the dataplane leaves no trace of it."""
+
+    def drive(self, source, obs):
+        """Scalar, small-batch, column-sized-batch and scheduled
+        injection; every packet that went in, and the runtime."""
+        runtime = Runtime(parse_config(source), obs=obs)
+        packets = [udp_packet(tp_src=index) for index in range(40)]
+        runtime.inject("src", packets[0])
+        runtime.inject("src", packets[1], at=1.0)
+        runtime.inject_batch("src", packets[2:5])
+        runtime.inject_batch("src", packets[5:])
+        runtime.run(until=500.0)
+        return packets, runtime
+
+    @pytest.mark.parametrize("source", [LINEAR, BUFFERED, QUEUED, TEED])
+    @pytest.mark.parametrize("disabled_bundle", [False, True])
+    def test_no_registrations_and_no_annotations(
+        self, source, disabled_bundle
+    ):
+        registry = _RecordingRegistry()
+        obs = Observability(metrics=registry, enabled=False) \
+            if disabled_bundle else None
+        packets, runtime = self.drive(source, obs)
+        assert registry.registrations == []
+        assert registry.snapshot() == {}
+        assert len(runtime.output) >= len(packets)
+        for packet in packets + [r.packet for r in runtime.output]:
+            assert "obs.ingress" not in packet.annotations
+        if source is LINEAR and columnar.available():
+            assert runtime.columnar_batches == 1
+
+    def test_take_output_keeps_list_identity(self):
+        runtime = Runtime(parse_config(LINEAR))
+        output = runtime.output
+        runtime.inject("src", udp_packet())
+        assert len(runtime.take_output()) == 1
+        assert runtime.output is output and not output
+        runtime.inject_batch("src", [udp_packet(), udp_packet()])
+        assert len(output) == 2
 
     def test_disabled_bundle_records_nothing(self):
         obs = Observability(enabled=False)
