@@ -172,13 +172,16 @@ class LRUCache:
         self.stats.record_hit()
         return value
 
-    def put(self, key: Hashable, value) -> None:
-        """Insert/refresh a value, evicting the oldest past capacity."""
+    def put(self, key: Hashable, value) -> Optional[Hashable]:
+        """Insert/refresh a value, evicting the oldest past capacity;
+        returns the evicted key, if any."""
         self._entries[key] = value
         self._entries.move_to_end(key)
         if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            evicted, _value = self._entries.popitem(last=False)
             self.stats.record_eviction()
+            return evicted
+        return None
 
     def clear(self) -> None:
         self._entries.clear()

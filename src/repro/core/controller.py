@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -141,10 +142,19 @@ class Controller:
         self.analyzer = (
             CachingSecurityAnalyzer() if fast_path else SecurityAnalyzer()
         )
-        #: Cached compiled model of the committed snapshot, keyed by
+        #: Compiled model of the committed snapshot, maintained across
+        #: commits and kills and validated against
         #: :meth:`Network.model_signature`.
         self._compiled: Optional[CompiledNetwork] = None
         self._compiled_signature: Optional[int] = None
+        #: Why the model was last dropped (labels the next rebuild).
+        self._model_dropped: Optional[str] = None
+        #: Full compiles by reason, and splices kept / undone in step
+        #: with a commit / kill (also in the metrics registry).
+        self._model_rebuilds = {
+            "cold": 0, "signature": 0, "invalidated": 0, "error": 0,
+        }
+        self._model_splices = {"commit": 0, "kill": 0}
         self.deployed: Dict[str, _DeployedModule] = {}
         #: client id -> addresses the client registered or was assigned
         #: (explicit-authorization white-list, Section 2.1).
@@ -181,6 +191,7 @@ class Controller:
             # counters (see repro.core.cache.RegistryCacheStats).
             self.analyzer.instrument(metrics, "verdict")
             self._summaries.instrument(metrics)
+            self._verification.instrument(metrics)
         self._h_admission = metrics.histogram(
             "controller_admission_seconds",
             "Wall-clock seconds per admission request",
@@ -203,6 +214,16 @@ class Controller:
         self._c_verdicts_reverified = metrics.counter(
             "controller_verdicts_reverified_total",
             "Requirement verdicts re-explored symbolically",
+        )
+        self._c_model_rebuilds = metrics.counter(
+            "controller_model_rebuilds_total",
+            "From-scratch compiles of the symbolic model, by reason",
+            labels=("reason",),
+        )
+        self._c_model_splices = metrics.counter(
+            "controller_model_splices_total",
+            "Module splices kept on commit / undone on kill instead "
+            "of a recompile", labels=("op",),
         )
         self._request_outcomes = {"accepted": 0, "rejected": 0}
 
@@ -290,9 +311,9 @@ class Controller:
         last_failure = "no platform satisfies the requirements"
         compiled_base: Optional[CompiledNetwork] = None
         if self._fast_path:
-            # Compile the operator network once per model epoch; the
-            # candidate loop grafts each trial module onto this shared
-            # model instead of rebuilding every node.
+            # The maintained model of the committed snapshot; the
+            # candidate loop splices each trial module into it instead
+            # of rebuilding every node.
             try:
                 started = time.perf_counter()
                 with self._tracer.span("compile", incremental=True):
@@ -361,42 +382,33 @@ class Controller:
             self.network.compute_routes()
             # What this trial changes: exactly one platform segment and
             # one address.  Verdicts with disjoint footprints stay
-            # valid (and reusable); verdicts touching the trial are
-            # re-explored and never stored.
+            # valid (and reusable); a fresh verdict is stored only if
+            # its footprint -- for a satisfied reach, one witness's
+            # path -- avoids both.
             trial_scope = ChangedScope(
                 frozenset((platform.name,)), frozenset((address,))
             )
             try:
-                if compiled_base is not None:
+                with ExitStack() as model:
                     started = time.perf_counter()
-                    graft = compiled_base.with_trial_module(
-                        platform.name, module_id, address, deploy_config,
-                    )
-                    with self._tracer.span(
-                        "graft", platform=platform.name,
-                    ):
-                        compiled = graft.__enter__()
-                    compile_seconds += time.perf_counter() - started
-                    try:
-                        started = time.perf_counter()
+                    trial = None
+                    if compiled_base is not None:
+                        trial = compiled_base.with_trial_module(
+                            platform.name, module_id, address,
+                            deploy_config,
+                        )
                         with self._tracer.span(
-                            "check", platform=platform.name,
+                            "graft", platform=platform.name,
                         ):
-                            results = self._verify_all(
-                                compiled, requirements, module_id,
-                                module_config=deploy_config,
-                                changed=trial_scope,
-                            )
-                        check_seconds += time.perf_counter() - started
-                    finally:
-                        graft.__exit__(None, None, None)
-                else:
-                    started = time.perf_counter()
-                    with self._tracer.span(
-                        "compile", incremental=False,
-                        platform=platform.name,
-                    ):
-                        compiled = NetworkCompiler(self.network).compile()
+                            compiled = model.enter_context(trial)
+                    else:
+                        with self._tracer.span(
+                            "compile", incremental=False,
+                            platform=platform.name,
+                        ):
+                            compiled = NetworkCompiler(
+                                self.network
+                            ).compile()
                     compile_seconds += time.perf_counter() - started
                     started = time.perf_counter()
                     with self._tracer.span(
@@ -408,6 +420,35 @@ class Controller:
                             changed=trial_scope,
                         )
                     check_seconds += time.perf_counter() - started
+                    if all(results):
+                        if dry_run:
+                            # Undo the trial placement; report the
+                            # decision.
+                            platform.undeploy(module_id)
+                            platform.release_address(address)
+                            self.network.compute_routes()
+                        else:
+                            self._commit(
+                                request, module_id, platform, address,
+                                deploy_config, sandboxed, requirements,
+                                proto=listen_proto, port=listen_port,
+                            )
+                            if trial is not None:
+                                # The trial splice *is* the committed
+                                # module's branch: keep it.
+                                trial.commit()
+                                self._model_followed("commit")
+                        return DeploymentResult(
+                            accepted=True,
+                            module_id=module_id,
+                            platform=platform.name,
+                            address=format_ip(address),
+                            sandboxed=sandboxed,
+                            security=security,
+                            reach_results=results,
+                            compile_seconds=compile_seconds,
+                            check_seconds=check_seconds,
+                        )
             except VerificationError as exc:
                 # The trial placement must never leak on a failed
                 # verification (bad node reference, unmodelled
@@ -421,27 +462,10 @@ class Controller:
                     compile_seconds=compile_seconds,
                     check_seconds=check_seconds,
                 )
-            if all(results):
-                if dry_run:
-                    # Undo the trial placement; report the decision.
-                    platform.undeploy(module_id)
-                    platform.release_address(address)
-                    self.network.compute_routes()
-                else:
-                    self._commit(request, module_id, platform, address,
-                                 deploy_config, sandboxed, requirements,
-                                 proto=listen_proto, port=listen_port)
-                return DeploymentResult(
-                    accepted=True,
-                    module_id=module_id,
-                    platform=platform.name,
-                    address=format_ip(address),
-                    sandboxed=sandboxed,
-                    security=security,
-                    reach_results=results,
-                    compile_seconds=compile_seconds,
-                    check_seconds=check_seconds,
-                )
+            except BaseException:
+                # Whatever state the splice is in, do not trust it.
+                self._drop_model("error")
+                raise
             failed = [r for r in results if not r]
             last_failure = "; ".join(
                 "%s: %s" % (r.requirement, r.reason) for r in failed
@@ -474,6 +498,13 @@ class Controller:
             OP_KILL, PHASE_COMMIT, PHASE_INTENT,
         )
 
+        # Un-splicing keeps the model current only if it was current.
+        compiled = self._compiled
+        follow = (
+            compiled is not None
+            and module_id in compiled.modules
+            and self._compiled_signature == self.network.model_signature()
+        )
         self.journal.append(
             OP_KILL, PHASE_INTENT,
             module_id=module_id, client_id=record.client_id,
@@ -489,11 +520,16 @@ class Controller:
             platform.undeploy(module_id)
             platform.release_address(record.address)
         self.flow_rules.pop((record.platform, record.address), None)
-        owned = self.client_addresses.get(record.client_id)
-        if owned is not None:
-            owned.discard(record.address)
+        self._disown(record.client_id, record.address)
         self.network.bump_epoch()
         self.network.compute_routes()
+        if follow:
+            try:
+                compiled.unsplice(module_id)
+                self._model_followed("kill")
+            except BaseException:
+                self._drop_model("error")
+                raise
         self.ledger.record_stop(module_id, self._clock())
         self._c_kills.inc()
         self.journal.append(
@@ -606,9 +642,10 @@ class Controller:
         # to it any more.
         self.flow_rules.pop((record.platform, record.address), None)
         self.flow_rules[(target_platform, new_address)] = module_id
-        owned = self.client_addresses.setdefault(record.client_id, set())
-        owned.discard(record.address)
-        owned.add(new_address)
+        self._disown(record.client_id, record.address)
+        self.client_addresses.setdefault(
+            record.client_id, set()
+        ).add(new_address)
         old_platform = record.platform
         old_address = record.address
         source.release_address(old_address)
@@ -1014,6 +1051,8 @@ class Controller:
             "deployed_modules": len(self.deployed),
             "flow_rules": len(self.flow_rules),
             "model_epoch_cached": self._compiled is not None,
+            "model_rebuilds": dict(self._model_rebuilds),
+            "model_splices": dict(self._model_splices),
         }
         cache_stats = getattr(self.analyzer, "stats", None)
         if cache_stats is not None:
@@ -1028,32 +1067,65 @@ class Controller:
 
     # -- internals ----------------------------------------------------------------
     def _ensure_compiled(self) -> CompiledNetwork:
-        """The compiled model of the current snapshot, cached per epoch.
+        """The compiled model of the current snapshot.
 
-        Validity is keyed on :meth:`Network.model_signature`, which
-        covers the explicit epoch (bumped by real deploys, kills, and
-        migrations), the link/address-ownership structure, and the
-        committed module placement -- so even out-of-band topology
-        surgery invalidates the cache.
+        Compiled once, then *maintained*: :meth:`_admit` keeps a
+        committed module's trial splice and :meth:`kill` un-splices,
+        each refreshing the stored signature, so steady-state churn
+        never recompiles the residents.  Validity is still keyed on
+        :meth:`Network.model_signature` -- the explicit epoch, the
+        link/address-ownership structure, and the committed module
+        placement -- so an external ``bump_epoch()``, out-of-band
+        topology surgery, a migration, or a dropped model all fall
+        back to a from-scratch compile.
         """
         signature = self.network.model_signature()
         if (
             self._compiled is None
             or signature != self._compiled_signature
         ):
+            reason = (
+                "signature" if self._compiled is not None
+                else self._model_dropped or "cold"
+            )
+            self._model_rebuilds[reason] += 1
+            self._c_model_rebuilds.labels(reason).inc()
+            self._model_dropped = None
             self.network.compute_routes()
             self._compiled = NetworkCompiler(self.network).compile()
             self._compiled_signature = signature
         return self._compiled
 
+    def _model_followed(self, op: str) -> None:
+        """The model was spliced/un-spliced in step with the network:
+        it is current at the network's new signature."""
+        self._compiled_signature = self.network.model_signature()
+        self._model_splices[op] += 1
+        self._c_model_splices.labels(op).inc()
+
+    def _drop_model(self, reason: str) -> None:
+        """Forget the compiled model; the next use recompiles and
+        counts ``reason``."""
+        self._compiled = None
+        self._compiled_signature = None
+        self._model_dropped = reason
+
     def invalidate_model_cache(self) -> None:
         """Drop the cached compiled model (explicit invalidation API),
         plus every derived cache: summary tables and verdicts."""
-        self._compiled = None
-        self._compiled_signature = None
+        self._drop_model("invalidated")
         self._verification.flush()
         if self._summaries is not None:
             self._summaries.invalidate()
+
+    def _disown(self, client_id: str, address: int) -> None:
+        """Take a module address out of a client's authorization set
+        (the entry goes with its last address)."""
+        owned = self.client_addresses.get(client_id)
+        if owned is not None:
+            owned.discard(address)
+            if not owned:
+                del self.client_addresses[client_id]
 
     def _whitelist_for(self, request: ClientRequest) -> FrozenSet[int]:
         owned = addresses_to_whitelist(request.owned_addresses)
@@ -1193,8 +1265,8 @@ class Controller:
         self.client_addresses.setdefault(request.client_id, set()).add(
             address
         )
-        # A real deploy starts a new model epoch: cached compiled
-        # networks must pick up the new permanent module.
+        # A real deploy starts a new model epoch: a compiled model
+        # that did not follow this commit is stale from here on.
         self.network.bump_epoch()
         self.journal.append(OP_DEPLOY, PHASE_COMMIT, **journal_fields)
 

@@ -230,7 +230,7 @@ class GossipingVerdictCache(LRUCache):
     def put(self, key: Hashable, value) -> None:
         """A locally computed verdict: cache it and tell the peers."""
         self._remote_keys.discard(key)
-        super().put(key, value)
+        self._remote_keys.discard(super().put(key, value))
         self.bus.publish(self.shard_id, key, value)
 
     def apply_remote(self, key: Hashable, value) -> bool:
@@ -243,7 +243,7 @@ class GossipingVerdictCache(LRUCache):
         if key in self._entries:
             return False
         self._remote_keys.add(key)
-        LRUCache.put(self, key, value)
+        self._remote_keys.discard(LRUCache.put(self, key, value))
         return True
 
     def entries(self) -> Dict[Hashable, object]:

@@ -12,14 +12,17 @@ Conventions:
 * a platform vertex demuxes arriving traffic to the module whose
   assigned address matches the destination (the OpenFlow rules the
   real controller installs on Open vSwitch), and forwards module egress
-  out its uplink;
+  out its uplink; a module hangs off two pseudo-ports of its platform,
+  both derived from its address, so the numbering does not depend on
+  who else is deployed or on how the model was built;
 * endpoint vertices (hosts, client subnets, internet) are sinks.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple,
+)
 
 from repro.common import fields as F
 from repro.common.errors import VerificationError
@@ -52,9 +55,13 @@ from repro.symexec.engine import (
 from repro.symexec.models import flows_matching, model_for
 from repro.symexec.tuning import OPT
 
-#: Platform pseudo-port bases (topology uplink ports stay below these).
-MODULE_INGRESS_BASE = 1000
-MODULE_EGRESS_BASE = 2000
+#: Platform pseudo-port bases.  A module's slot is its assigned address
+#: (unique on its platform, fixed for its life), so the bases sit above
+#: the whole IPv4 space: the same module gets the same two ports from a
+#: from-scratch compile and from a splice, and topology uplink ports
+#: stay far below.
+MODULE_INGRESS_BASE = 1 << 32
+MODULE_EGRESS_BASE = 2 << 32
 
 
 def _endpoint_model(ctx, node, port, flow):
@@ -140,56 +147,74 @@ def _middlebox_model_factory(element) -> Callable:
     return middlebox_model
 
 
+class _Demux(NamedTuple):
+    """A platform's steering rules as the symbolic demux sees them."""
+
+    #: (ingress pseudo-port, residual match) per steering rule.
+    branches: List[Tuple[int, Dict[str, IntervalSet]]]
+    #: Union of the branches' ``ip_dst`` residuals -- an arrival whose
+    #: destination misses it matches no branch -- or None when some
+    #: rule does not test ``ip_dst`` first.
+    steered: Optional[IntervalSet]
+    ingress_ports: FrozenSet[int]
+
+
 class _PlatformState:
     """Payload of a platform vertex."""
 
-    def __init__(self, platform: Platform, uplink_port: int,
-                 module_order: List[str]):
+    def __init__(self, platform: Platform, uplink_port: int):
         self.platform = platform
         self.uplink_port = uplink_port
-        self.module_order = module_order  # deterministic pseudo-ports
-        #: Memoized (raw branches identity, module order, result) for
-        #: :meth:`module_branches`.
+        #: Spliced module -> pseudo-port slot (its assigned address).
+        self.slots: Dict[str, int] = {}
+        #: Memoized (raw branches identity, result) for
+        #: :meth:`module_branches`; splice/un-splice reset it.
         self._demux_cache: Optional[tuple] = None
         #: Memoized (module snapshot, complement set) for
         #: :meth:`egress_complement`.
         self._egress_cache: Optional[tuple] = None
 
-    def module_branches(
-        self,
-    ) -> List[Tuple[int, Dict[str, IntervalSet]]]:
-        """(ingress pseudo-port, residual match) per steering rule.
+    def module_branches(self) -> _Demux:
+        """The demux over the spliced modules' steering rules.
 
         Read from the platform's OpenFlow-style table, so the symbolic
         demux follows exactly the rules the controller installed.
         Memoized under the fast path: valid while the flow table hands
-        back the same (memoized) branch list and the module order is
-        unchanged -- any install/remove or (un)graft invalidates it.
+        back the same (memoized) branch list and no module was spliced
+        or un-spliced -- any install/remove or (un)splice invalidates
+        it.
         """
         from repro.netmodel.flowtable import ACTION_TO_MODULE
 
         raw = self.platform.flow_table.symbolic_branches()
-        order = self.module_order
-        if OPT.enabled:
+        opt = OPT.enabled
+        if opt:
             cached = self._demux_cache
-            if (
-                cached is not None
-                and cached[0] is raw
-                and cached[1] == order
-            ):
+            if cached is not None and cached[0] is raw:
                 OPT.memo_hits += 1
-                return cached[2]
+                return cached[1]
+        slots = self.slots
         branches = []
         for action, residual in raw:
             if action.kind != ACTION_TO_MODULE:
                 continue
-            if action.target not in order:
-                continue
-            index = order.index(action.target)
-            branches.append((MODULE_INGRESS_BASE + index, residual))
-        if OPT.enabled:
-            self._demux_cache = (raw, list(order), branches)
-        return branches
+            slot = slots.get(action.target)
+            if slot is not None:
+                branches.append((MODULE_INGRESS_BASE + slot, residual))
+        if not opt:
+            return _Demux(branches, None, frozenset())
+        steered: Optional[IntervalSet] = IntervalSet.empty()
+        for _port, residual in branches:
+            if next(iter(residual), None) != F.IP_DST:
+                steered = None
+                break
+            steered = steered.union(residual[F.IP_DST])
+        result = _Demux(
+            branches, steered,
+            frozenset(ingress_port for ingress_port, _r in branches),
+        )
+        self._demux_cache = (raw, result)
+        return result
 
     def egress_complement(self) -> IntervalSet:
         """Destinations that leave via the uplink (not a co-located
@@ -214,14 +239,25 @@ class _PlatformState:
 def _platform_model(ctx, node, port, flow):
     state: _PlatformState = ctx.graph.payloads[node]
     results = []
-    branches = state.module_branches()
+    branches, steered, ingress_ports = state.module_branches()
     remaining = flow
     from_module = port >= MODULE_EGRESS_BASE
+    own_ingress = port - MODULE_EGRESS_BASE + MODULE_INGRESS_BASE
     opt = OPT.enabled
+    if opt and steered is not None and branches:
+        # One test before sixteen: a destination outside every steered
+        # address fails each branch's first residual test, so count the
+        # prunes the loop below would and skip it.
+        variable = remaining.packet.var(F.IP_DST)
+        if variable is not None and remaining.domain(
+            variable
+        ).intersect(steered).is_empty():
+            OPT.prunes += len(branches) - (
+                from_module and own_ingress in ingress_ports
+            )
+            branches = ()
     for ingress_port, residual in branches:
-        if from_module and ingress_port == (
-            port - MODULE_EGRESS_BASE + MODULE_INGRESS_BASE
-        ):
+        if from_module and ingress_port == own_ingress:
             continue  # no self-hairpin: a module never feeds itself
         if opt:
             # Demux branches are always forks, so an infeasible
@@ -261,72 +297,120 @@ def _platform_model(ctx, node, port, flow):
 
 
 class CompiledNetwork:
-    """A symbolic graph for one network snapshot, plus its resolvers."""
+    """A symbolic graph for one network snapshot, plus its resolvers.
+
+    The model is *maintained*, not only compiled: :meth:`splice` adds
+    one module's branch behind its platform's demux and
+    :meth:`unsplice` removes exactly what that splice added, so the
+    owner (the controller) follows commits and kills without
+    recompiling the residents.  A spliced model explores exactly like
+    a from-scratch compile of the same snapshot -- pseudo-ports
+    included, since a module's slot is its address.
+    """
 
     def __init__(self, network: Network, graph: SymGraph):
         self.network = network
         self.graph = graph
-        #: The network epoch this model was compiled at; the owner
-        #: (the controller) compares it against ``network.epoch`` to
-        #: decide whether the model is still current.
-        self.epoch = network.epoch
         #: module name -> (platform name, assigned address, ClickConfig).
         self.modules: Dict[str, Tuple[str, int, object]] = {}
-        for platform in network.platforms():
-            for name, (address, config) in platform.modules.items():
-                self.modules[name] = (platform.name, address, config)
+        #: module name -> the graph nodes its splice added.
+        self._spliced: Dict[str, List[str]] = {}
 
     # -- incremental updates ------------------------------------------------
-    @property
-    def is_current(self) -> bool:
-        """Whether the underlying network is still at our epoch."""
-        return self.epoch == self.network.epoch
+    def splice(
+        self, platform_name: str, module_id: str, address: int, config
+    ) -> None:
+        """Add one module's elements behind its platform's demux.
 
-    @contextmanager
+        The platform's steering rules are read live from its flow
+        table, so the module must be deployed on the platform
+        (``platform.deploy``) for traffic to reach it.  A failed splice
+        leaves the model as it was.
+        """
+        from repro.click.element import create_element
+
+        if module_id in self.graph.models or module_id in self.modules:
+            raise VerificationError(
+                "module %r already present in the model" % (module_id,)
+            )
+        graph = self.graph
+        state: _PlatformState = graph.payloads[platform_name]
+        ingress = MODULE_INGRESS_BASE + address
+        if (platform_name, ingress) in graph.edges:
+            raise VerificationError(
+                "two modules on %r share address %d"
+                % (platform_name, address)
+            )
+        entry_classes = ("FromNetfront", "FromDevice")
+        exit_classes = ("ToNetfront", "ToDevice")
+        sources = [
+            name for name in config.sources()
+            if config.elements[name].class_name in entry_classes
+        ]
+        sinks = [
+            name for name in config.sinks()
+            if config.elements[name].class_name in exit_classes
+        ]
+        if not sources or not sinks:
+            raise VerificationError(
+                "module %r needs a FromNetfront source and a ToNetfront "
+                "sink to be spliced" % (module_id,)
+            )
+        prefix = module_id + "/"
+        nodes: List[str] = []
+        try:
+            for name, decl in config.elements.items():
+                element = create_element(decl.class_name, name, decl.args)
+                graph.add_node(
+                    prefix + name,
+                    model_for(decl.class_name),
+                    payload=element,
+                    is_sink=False,  # egress re-enters the platform
+                )
+                nodes.append(prefix + name)
+            for edge in config.edges:
+                graph.connect(prefix + edge.src, edge.src_port,
+                              prefix + edge.dst, edge.dst_port)
+            graph.connect(platform_name, ingress, prefix + sources[0], 0)
+            for sink in sinks:
+                graph.connect(
+                    prefix + sink, 0,
+                    platform_name, MODULE_EGRESS_BASE + address,
+                )
+        except BaseException:
+            graph.remove_nodes(nodes)
+            raise
+        state.slots[module_id] = address
+        state._demux_cache = None
+        self.modules[module_id] = (platform_name, address, config)
+        self._spliced[module_id] = nodes
+
+    def unsplice(self, module_id: str) -> None:
+        """Remove exactly what :meth:`splice` added for ``module_id``
+        (every edge it added touches one of the module's nodes)."""
+        nodes = self._spliced.pop(module_id)
+        platform_name = self.modules.pop(module_id)[0]
+        state: _PlatformState = self.graph.payloads[platform_name]
+        del state.slots[module_id]
+        state._demux_cache = None
+        self.graph.remove_nodes(nodes)
+
     def with_trial_module(
         self, platform_name: str, module_id: str, address: int, config
-    ) -> Iterator["CompiledNetwork"]:
-        """Temporarily graft one module's branch onto the compiled graph.
+    ) -> "TrialSplice":
+        """Splice one module for the length of a ``with`` block.
 
         The admission fast path: instead of recompiling every node
         model for each candidate placement, the already-compiled
         operator network is reused and only the platform-local module
-        subgraph (its elements, internal wiring, and the two splice
-        edges into the platform's demux) is added -- and removed again
-        on exit, leaving the shared model untouched.  The platform's
-        steering rules are read live from its flow table, so the caller
-        must have trial-deployed the module on the platform
-        (``platform.deploy``) before entering, and undeploy after.
-
-        Exploration over the grafted graph is equivalent to a full
-        recompile of the trial snapshot (module pseudo-port numbering
-        may differ; it is internal to the platform demux).
+        subgraph is added -- and removed again on exit unless
+        :meth:`TrialSplice.commit` was called, in which case the module
+        stays in the model as a resident.  The caller must have
+        trial-deployed the module on the platform before entering.
         """
-        if module_id in self.graph.models or module_id in self.modules:
-            raise VerificationError(
-                "trial module %r already present in the model"
-                % (module_id,)
-            )
-        state: _PlatformState = self.graph.payloads[platform_name]
-        index = len(state.module_order)
-        state.module_order.append(module_id)
-        added_nodes: List[str] = []
-        added_edges: List[Tuple[str, int]] = []
-        try:
-            _splice_module(
-                self.graph, platform_name, module_id, config, index,
-                added_nodes=added_nodes, added_edges=added_edges,
-            )
-            self.modules[module_id] = (platform_name, address, config)
-            yield self
-        finally:
-            self.modules.pop(module_id, None)
-            for key in added_edges:
-                self.graph.edges.pop(key, None)
-            self.graph.version += 1  # direct edge surgery above
-            for name in added_nodes:
-                self.graph.remove_node(name)
-            state.module_order.remove(module_id)
+        return TrialSplice(
+            self, platform_name, module_id, address, config
+        )
 
     # -- engine -----------------------------------------------------------
     def engine(self, **kwargs) -> SymbolicEngine:
@@ -469,6 +553,30 @@ class CompiledNetwork:
         return merged
 
 
+class TrialSplice:
+    """``with compiled.with_trial_module(...) as compiled:`` -- a splice
+    that is undone on exit unless :meth:`commit` kept it."""
+
+    def __init__(self, compiled: CompiledNetwork, platform_name: str,
+                 module_id: str, address: int, config):
+        self.compiled = compiled
+        self.module_id = module_id
+        self._splice_args = (platform_name, module_id, address, config)
+        self._committed = False
+
+    def __enter__(self) -> CompiledNetwork:
+        self.compiled.splice(*self._splice_args)
+        return self.compiled
+
+    def commit(self) -> None:
+        """Keep the module in the model when the block exits."""
+        self._committed = True
+
+    def __exit__(self, *exc_info) -> None:
+        if not self._committed:
+            self.compiled.unsplice(self.module_id)
+
+
 def merge_explorations(target: Exploration, part: Exploration) -> None:
     """Accumulate ``part`` into ``target`` (in place)."""
     for key, flows in part.arrivals.items():
@@ -511,10 +619,10 @@ class NetworkCompiler:
                 )
             elif isinstance(node, Platform):
                 uplink = min(node.ports) if node.ports else 0
-                state = _PlatformState(
-                    node, uplink, sorted(node.modules)
+                graph.add_node(
+                    node.name, _platform_model,
+                    payload=_PlatformState(node, uplink),
                 )
-                graph.add_node(node.name, _platform_model, payload=state)
             else:
                 raise VerificationError(
                     "cannot compile node %r of kind %r"
@@ -525,73 +633,11 @@ class NetworkCompiler:
             graph.connect(link.a, link.a_port, link.b, link.b_port)
             graph.connect(link.b, link.b_port, link.a, link.a_port)
         # 3. Deployed modules, spliced behind their platform's demux.
+        compiled = CompiledNetwork(self.network, graph)
         for platform in self.network.platforms():
-            state: _PlatformState = graph.payloads[platform.name]
-            for index, module_name in enumerate(state.module_order):
-                _address, config = platform.modules[module_name]
-                _splice_module(graph, platform.name, module_name,
-                               config, index)
-        return CompiledNetwork(self.network, graph)
-
-
-def _splice_module(
-    graph: SymGraph,
-    platform_name: str,
-    module_name: str,
-    config,
-    index: int,
-    added_nodes: Optional[List[str]] = None,
-    added_edges: Optional[List[Tuple[str, int]]] = None,
-) -> None:
-    """Add one module's elements behind its platform's demux.
-
-    Used both by the full compiler and by incremental grafting
-    (:meth:`CompiledNetwork.with_trial_module`); the optional
-    ``added_nodes``/``added_edges`` lists collect what was created so a
-    graft can be undone exactly.
-    """
-    from repro.click.element import create_element
-
-    def _connect(src, src_port, dst, dst_port):
-        graph.connect(src, src_port, dst, dst_port)
-        if added_edges is not None:
-            added_edges.append((src, src_port))
-
-    prefix = module_name + "/"
-    for name, decl in config.elements.items():
-        element = create_element(decl.class_name, name, decl.args)
-        graph.add_node(
-            prefix + name,
-            model_for(decl.class_name),
-            payload=element,
-            is_sink=False,  # egress re-enters the platform
-        )
-        if added_nodes is not None:
-            added_nodes.append(prefix + name)
-    for edge in config.edges:
-        _connect(prefix + edge.src, edge.src_port,
-                 prefix + edge.dst, edge.dst_port)
-    entry_classes = ("FromNetfront", "FromDevice")
-    exit_classes = ("ToNetfront", "ToDevice")
-    sources = [
-        name for name in config.sources()
-        if config.elements[name].class_name in entry_classes
-    ]
-    sinks = [
-        name for name in config.sinks()
-        if config.elements[name].class_name in exit_classes
-    ]
-    if not sources or not sinks:
-        raise VerificationError(
-            "module %r needs a FromNetfront source and a ToNetfront "
-            "sink to be spliced" % (module_name,)
-        )
-    _connect(
-        platform_name, MODULE_INGRESS_BASE + index,
-        prefix + sources[0], 0,
-    )
-    for sink in sinks:
-        _connect(
-            prefix + sink, 0,
-            platform_name, MODULE_EGRESS_BASE + index,
-        )
+            for module_name in sorted(platform.modules):
+                address, config = platform.modules[module_name]
+                compiled.splice(
+                    platform.name, module_name, address, config
+                )
+        return compiled

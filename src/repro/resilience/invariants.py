@@ -263,7 +263,6 @@ def controller_state_digest(controller) -> dict:
         "client_addresses": {
             client_id: frozenset(owned)
             for client_id, owned in controller.client_addresses.items()
-            if owned
         },
         "routes": routes,
     }

@@ -18,8 +18,9 @@ flows stays proportional to real forwarding alternatives.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import (
-    Callable, Dict, List, NamedTuple, Optional, Tuple,
+    Callable, Deque, Dict, List, NamedTuple, Optional, Set, Tuple,
 )
 
 from repro.common.errors import VerificationError
@@ -258,6 +259,26 @@ class SymGraph:
         #: Structural version: bumped by every node/edge mutation so
         #: derived tables (segment summaries) can validate in O(1).
         self.version = 0
+        #: (version, node) per node a mutation touched, newest last;
+        #: bounded, so :meth:`touched_since` can say "too long ago".
+        self._touch_log: Deque[Tuple[int, str]] = deque(maxlen=1024)
+
+    def touched_since(self, version: int) -> Optional[Set[str]]:
+        """Nodes whose model, payload or wiring changed after
+        ``version``: added, removed, or at either end of an edge that
+        was connected, rewired or went with a removed node.  None when
+        the bounded log no longer reaches back that far (the caller
+        rebuilds from scratch).
+        """
+        log = self._touch_log
+        if len(log) == log.maxlen and version < log[0][0]:
+            return None
+        touched: Set[str] = set()
+        for at, name in reversed(log):
+            if at <= version:
+                break
+            touched.add(name)
+        return touched
 
     def add_node(
         self,
@@ -273,6 +294,7 @@ class SymGraph:
         self.payloads[name] = payload
         self.sinks[name] = is_sink
         self.version += 1
+        self._touch_log.append((self.version, name))
 
     def connect(
         self, src: str, src_port: int, dst: str, dst_port: int
@@ -281,26 +303,41 @@ class SymGraph:
         for name in (src, dst):
             if name not in self.models:
                 raise VerificationError("edge references unknown %r" % name)
+        rewired = self.edges.get((src, src_port))
         self.edges[(src, src_port)] = (dst, dst_port)
-        self.version += 1
+        version = self.version = self.version + 1
+        touch = self._touch_log.append
+        touch((version, src))
+        touch((version, dst))
+        if rewired is not None:
+            touch((version, rewired[0]))
 
     def remove_node(self, name: str) -> None:
         """Unregister a node and every edge touching it.
 
-        Incremental network compilation uses this to ungraft a trial
-        module's branch; unknown names are ignored so teardown is
-        idempotent.
+        Unknown names are ignored so teardown is idempotent.
         """
-        self.models.pop(name, None)
-        self.sinks.pop(name, None)
-        self.payloads.pop(name, None)
+        self.remove_nodes((name,))
+
+    def remove_nodes(self, names) -> None:
+        """Unregister several nodes and every edge touching any of them
+        (one pass over the edges; un-splicing a module uses this)."""
+        gone = set(names)
+        for name in gone:
+            self.models.pop(name, None)
+            self.sinks.pop(name, None)
+            self.payloads.pop(name, None)
         stale = [
-            key for key, dst in self.edges.items()
-            if key[0] == name or dst[0] == name
+            (key, dst) for key, dst in self.edges.items()
+            if key[0] in gone or dst[0] in gone
         ]
-        for key in stale:
+        touched = set(gone)
+        for key, dst in stale:
             del self.edges[key]
+            touched.add(key[0])
+            touched.add(dst[0])
         self.version += 1
+        self._touch_log.extend((self.version, name) for name in touched)
 
     def successor(
         self, node: str, port: int

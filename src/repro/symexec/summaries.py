@@ -22,9 +22,12 @@ LIFO worklist would pop next) and spills earlier branches back to the
 worklist at their precomputed successor.
 
 **Layer 2 -- footprint-keyed verdict reuse** (:class:`VerificationCache`).
-Every verified requirement records its *reachability footprint*: the set
-of topology segments its exploration visited (module-internal vertices
-map to their hosting platform).  A cached verdict is reusable while
+Every verified requirement records a *reachability footprint*: a set
+of topology segments (module-internal vertices map to their hosting
+platform).  For a satisfied ``reach`` -- an existential statement --
+that is the path of **one witness** flow; for ``isolate``, ``always``
+and an unsatisfied ``reach`` -- universal statements -- it is
+everything the exploration visited.  A cached verdict is reusable while
 
 * the topology signature is unchanged (links + address ownership),
 * every routing/flow table in the footprint still has the version
@@ -34,9 +37,11 @@ map to their hosting platform).  A cached verdict is reusable while
   requirement references.
 
 Admitting a config into a large network then costs O(changed segments):
-a trial graft at platform P bumps only P's tokens, so every requirement
-whose footprint avoids P is answered from cache, and a policy edit
-re-verifies only requirements that are new or whose footprint was
+a trial graft at platform P bumps only P's tokens, so every universal
+verdict whose exploration avoided P and every ``reach`` verdict with
+*some* witness avoiding P is answered from cache (a path exists while
+the nodes on it are unchanged, whatever else was added), and a policy
+edit re-verifies only requirements that are new or whose footprint was
 invalidated.  ``docs/symexec-summaries.md`` walks the algebra and the
 invalidation rules; ``benchmarks/symexec_speedup_check.py
 --incremental`` gates the speedup in CI.
@@ -50,6 +55,7 @@ and the controller re-check ``OPT.enabled`` on every use).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.common import fields as F
@@ -73,6 +79,7 @@ __all__ = [
     "VerificationCache",
     "exploration_footprint",
     "requirement_address_ranges",
+    "witness_footprint",
 ]
 
 
@@ -479,9 +486,12 @@ class SummaryCache:
     args)`` -- grafting the same tenant config a second time compiles
     nothing.  The per-graph tables (programs by node + composed
     segments) are validated against :attr:`SymGraph.version`, which
-    every structural mutation bumps; a graft therefore invalidates and
-    rebuilds them (cheaply, from the element cache) while an unchanged
-    graph revalidates in O(1).
+    every structural mutation bumps; an unchanged graph revalidates in
+    O(1), and a graph that only gained or lost whole chains since (a
+    module splice or un-splice) is *patched*: the tables follow the
+    nodes :meth:`SymGraph.touched_since` reports instead of being
+    rebuilt.  Touching a node that already has a program rebuilds
+    everything, as any mutation used to.
     """
 
     def __init__(self):
@@ -491,6 +501,7 @@ class SummaryCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
+        self.patches = 0
         self.element_hits = 0
         self.element_misses = 0
         self.segments_composed = 0
@@ -499,6 +510,7 @@ class SummaryCache:
         self._c_hits = None
         self._c_misses = None
         self._c_invalidations = None
+        self._c_patches = None
         self._c_composes = None
 
     # -- observability ------------------------------------------------------
@@ -514,7 +526,11 @@ class SummaryCache:
         )
         self._c_invalidations = metrics.counter(
             "symexec_summary_invalidations_total",
-            "Summary-table rebuilds after a graph mutation",
+            "Summary tables found stale after a graph mutation",
+        )
+        self._c_patches = metrics.counter(
+            "symexec_summary_patches_total",
+            "Stale summary tables patched in place instead of rebuilt",
         )
         self._c_composes = metrics.counter(
             "symexec_summary_composes_total",
@@ -527,6 +543,7 @@ class SummaryCache:
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
+            "patches": self.patches,
             "element_hits": self.element_hits,
             "element_misses": self.element_misses,
             "segments_composed": self.segments_composed,
@@ -542,7 +559,8 @@ class SummaryCache:
 
     # -- table lookup --------------------------------------------------------
     def tables_for(self, graph: SymGraph) -> _GraphTables:
-        """Valid summary tables for ``graph`` (rebuilding if stale)."""
+        """Valid summary tables for ``graph`` (patching or rebuilding
+        if stale)."""
         tables = self._tables
         version = graph.version
         if tables is not None and tables.graph is graph:
@@ -554,13 +572,35 @@ class SummaryCache:
             self.invalidations += 1
             if self._c_invalidations is not None:
                 self._c_invalidations.inc()
+            touched = graph.touched_since(tables.version)
+            if touched is not None and self._patch(tables, touched):
+                self.patches += 1
+                if self._c_patches is not None:
+                    self._c_patches.inc()
+                tables = self._tables = tables._replace(version=version)
+                self._evict_unused_programs(tables)
+                return tables
         else:
             self.misses += 1
             if self._c_misses is not None:
                 self._c_misses.inc()
-        tables = self._build_tables(graph, version)
+        tables = _GraphTables(graph, version, {}, {})
+        self._extend(tables, graph.models, graph.edges.items())
         self._tables = tables
+        self._evict_unused_programs(tables)
         return tables
+
+    def _evict_unused_programs(self, tables: _GraphTables) -> None:
+        """Forget element programs no node of ``tables`` runs, once
+        the cache holds more than twice as many as there are nodes --
+        without this it keeps one per tenant address ever seen."""
+        cache = self._element_cache
+        if len(cache) <= 2 * len(tables.programs):
+            return
+        live = set(tables.programs.values())
+        for key in [k for k, program in cache.items()
+                    if program not in live]:
+            del cache[key]
 
     # -- compilation ---------------------------------------------------------
     def _element_program(self, element) -> Optional[Callable]:
@@ -611,42 +651,83 @@ class SummaryCache:
         self._element_cache[key] = program
         return program
 
-    def _build_tables(self, graph: SymGraph, version: int) -> _GraphTables:
-        programs: Dict[str, Callable] = {}
-        for node, model in graph.models.items():
-            payload = graph.payloads.get(node)
-            kind = getattr(model, "summary_kind", None)
-            if kind == "middlebox":
-                program = self._middlebox_program(payload)
-            else:
-                class_name = getattr(payload, "class_name", None)
-                if class_name is None:
-                    continue
-                summarize = summarizer_for(class_name)
-                if summarize is None:
-                    continue
-                # Only summarize nodes still running the registered
-                # model; custom payloads/models keep the generic path.
-                try:
-                    registered = model_for(class_name)
-                except Exception:
-                    continue
-                if registered is not model:
-                    continue
-                program = self._element_program(payload)
+    def _node_program(self, graph: SymGraph, node: str
+                      ) -> Optional[Callable]:
+        """The transfer function for one graph node, if it has one."""
+        model = graph.models[node]
+        payload = graph.payloads.get(node)
+        if getattr(model, "summary_kind", None) == "middlebox":
+            return self._middlebox_program(payload)
+        class_name = getattr(payload, "class_name", None)
+        if class_name is None or summarizer_for(class_name) is None:
+            return None
+        # Only summarize nodes still running the registered model;
+        # custom payloads/models keep the generic path.
+        try:
+            registered = model_for(class_name)
+        except Exception:
+            return None
+        if registered is not model:
+            return None
+        return self._element_program(payload)
+
+    def _patch(self, tables: _GraphTables, touched) -> bool:
+        """Make ``tables`` follow the touched nodes, or refuse.
+
+        Patchable when every touched node is new, gone, or has no
+        program (platforms, routers and endpoints never sit inside a
+        chain): nothing composed earlier can run through such a node,
+        so a splice only adds entries and an un-splice only removes
+        them.  A touched node that already has a program may sit
+        inside an existing chain -- refuse, and the caller rebuilds.
+        """
+        graph = tables.graph
+        programs = tables.programs
+        models = graph.models
+        gone = set()
+        for name in touched:
+            if name in programs:
+                if name in models:
+                    return False
+                gone.add(name)
+        if gone:
+            for name in gone:
+                del programs[name]
+            segments = tables.segments
+            for entry in [e for e in segments if e[0] in gone]:
+                del segments[entry]
+        present = [name for name in touched if name in models]
+        if present:
+            self._extend(tables, present, [
+                (key, dst) for key, dst in graph.edges.items()
+                if key[0] in touched
+            ])
+        return True
+
+    def _extend(self, tables: _GraphTables, nodes, edges) -> None:
+        """Compile programs for ``nodes`` and compose the segments
+        entered over ``edges`` (``((src, port), (dst, port))`` pairs:
+        every edge of the graph for a full build, the touched nodes'
+        out-edges for a patch -- a chain from a new entry only runs
+        through new nodes, so their out-edges are all it needs)."""
+        graph = tables.graph
+        programs = tables.programs
+        segments = tables.segments
+        summarized = 0
+        for node in nodes:
+            program = self._node_program(graph, node)
             if program is not None:
                 programs[node] = program
-        self.nodes_summarized += len(programs)
+                summarized += 1
+        self.nodes_summarized += summarized
 
         # Wired outputs per node; chains need exactly one.
         out_edges: Dict[str, List[Tuple[int, Tuple[str, int]]]] = {}
-        for (src, src_port), dst in graph.edges.items():
+        for (src, src_port), dst in edges:
             out_edges.setdefault(src, []).append((src_port, dst))
 
         sinks = graph.sinks
-        segments: Dict[Tuple[str, int], Tuple[SegmentHop, ...]] = {}
-        for dst in graph.edges.values():
-            entry = dst
+        for _key, entry in edges:
             if entry in segments:
                 continue
             hops: List[SegmentHop] = []
@@ -684,7 +765,6 @@ class SummaryCache:
                     self.hops_composed += len(hops)
                     if self._c_composes is not None:
                         self._c_composes.inc()
-        return _GraphTables(graph, version, programs, segments)
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +789,8 @@ class ChangedScope(NamedTuple):
 UNCHANGED_SCOPE = ChangedScope(frozenset(), frozenset())
 
 
-def exploration_footprint(exploration, compiled) -> FrozenSet[str]:
-    """Topology segments an exploration visited.
+def _footprint(nodes, compiled) -> FrozenSet[str]:
+    """Topology segments behind graph node names.
 
     Module-internal vertices (``module/element``) map to the hosting
     platform: whatever invalidates the module (deploy, kill, steering
@@ -718,14 +798,27 @@ def exploration_footprint(exploration, compiled) -> FrozenSet[str]:
     exactly the invalidation granularity.
     """
     segments = set()
-    for node, _port in exploration.arrivals:
+    modules = compiled.modules
+    for node in nodes:
         if "/" in node:
             module = node.split("/", 1)[0]
-            info = compiled.modules.get(module)
+            info = modules.get(module)
             segments.add(info[0] if info is not None else module)
         else:
             segments.add(node)
     return frozenset(segments)
+
+
+def exploration_footprint(exploration, compiled) -> FrozenSet[str]:
+    """Topology segments an exploration visited."""
+    return _footprint(
+        (node for node, _port in exploration.arrivals), compiled
+    )
+
+
+def witness_footprint(flow, compiled) -> FrozenSet[str]:
+    """Topology segments one flow's own path visited."""
+    return _footprint((entry.node for entry in flow.trace), compiled)
 
 
 def requirement_address_ranges(requirement) -> Tuple[IntervalSet, ...]:
@@ -793,13 +886,37 @@ class VerificationCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        self.stores = 0
-        self.store_skips = 0
+        #: What each :meth:`store` call anchored its entry to
+        #: (``skipped``: nothing was stored).
+        self.anchors = {"witness": 0, "exploration": 0, "skipped": 0}
+        self._c_anchor = None
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def stats(self) -> Dict[str, int]:
+    @property
+    def stores(self) -> int:
+        return self.anchors["witness"] + self.anchors["exploration"]
+
+    @property
+    def store_skips(self) -> int:
+        return self.anchors["skipped"]
+
+    def _anchored(self, kind: str) -> bool:
+        self.anchors[kind] += 1
+        if self._c_anchor is not None:
+            self._c_anchor.labels(kind).inc()
+        return kind != "skipped"
+
+    def instrument(self, metrics) -> None:
+        """Mirror the anchor decisions into a metrics registry."""
+        self._c_anchor = metrics.counter(
+            "symexec_verdict_anchor_total",
+            "Verdict-cache stores by what the entry was anchored to",
+            labels=("kind",),
+        )
+
+    def stats(self) -> Dict[str, object]:
         return {
             "entries": len(self._entries),
             "hits": self.hits,
@@ -807,6 +924,7 @@ class VerificationCache:
             "invalidations": self.invalidations,
             "stores": self.stores,
             "store_skips": self.store_skips,
+            "anchors": dict(self.anchors),
         }
 
     def flush(self) -> None:
@@ -881,24 +999,50 @@ class VerificationCache:
     ) -> bool:
         """Cache a fresh verdict unless the changed scope taints it.
 
-        A verdict explored *during* a trial graft may only be cached
-        when its footprint avoids the grafted platform and its address
-        ranges avoid the trial address -- otherwise its tokens would
-        snapshot state that is rolled back on exit.
+        A satisfied ``reach`` is an existential statement, so it is
+        anchored to *one witness*: the entry records the footprint and
+        tokens of that flow's own path and keeps only that flow.  The
+        path exists while every node on it is unchanged, whatever else
+        was added -- so a verdict explored during a trial graft is
+        storable whenever some witness avoids the grafted platform.
+        ``isolate``, ``always`` and an unsatisfied ``reach`` speak
+        about every flow and keep the whole exploration's footprint.
+        Either way nothing is stored when the footprint touches
+        ``changed`` or the address ranges cover the trial address:
+        the tokens would snapshot state that is rolled back on exit.
         """
-        footprint = exploration_footprint(exploration, compiled)
         ranges = requirement_address_ranges(requirement)
-        if changed is not None:
-            if not footprint.isdisjoint(changed.segments):
-                self.store_skips += 1
-                return False
-            if changed.addresses and any(
-                address in wanted
-                for wanted in ranges
-                for address in changed.addresses
-            ):
-                self.store_skips += 1
-                return False
+        if changed is not None and changed.addresses and any(
+            address in wanted
+            for wanted in ranges
+            for address in changed.addresses
+        ):
+            return self._anchored("skipped")
+        tainted = changed.segments if changed is not None else frozenset()
+        footprint = None
+        if (
+            result.satisfied
+            and result.witnesses
+            and requirement.expect_reachable
+            and getattr(requirement, "mode", "reach") == "reach"
+        ):
+            kind = "witness"
+            anchor = None
+            for witness in result.witnesses:
+                candidate = witness_footprint(witness, compiled)
+                if candidate.isdisjoint(tainted) and (
+                    footprint is None or len(candidate) < len(footprint)
+                ):
+                    anchor, footprint = witness, candidate
+            if anchor is not None:
+                result = replace(result, witnesses=[anchor], violations=[])
+        else:
+            kind = "exploration"
+            footprint = exploration_footprint(exploration, compiled)
+            if not footprint.isdisjoint(tainted):
+                footprint = None
+        if footprint is None:
+            return self._anchored("skipped")
         tokens: Dict[str, Tuple[object, int]] = {}
         nodes = network.nodes
         for name in footprint:
@@ -912,5 +1056,4 @@ class VerificationCache:
             result, footprint, topo_signature, tokens,
             ranges, _modules_in_ranges(network, ranges),
         )
-        self.stores += 1
-        return True
+        return self._anchored(kind)

@@ -18,6 +18,7 @@ from repro.core.security import addresses_to_whitelist
 from repro.netmodel.examples import figure3_network, CLIENT_ADDR
 from repro.netmodel.symgraph import NetworkCompiler
 from repro.policy import parse_requirement
+from repro.symexec import canonical_flow
 from repro.symexec.reachability import ReachabilityChecker
 
 BATCHER = """
@@ -40,6 +41,14 @@ SANDBOX_CONFIG = """
     out :: ToNetfront();
     src -> IPDecap() -> out;
 """
+
+
+def canonical_exploration(exploration):
+    return (
+        tuple(canonical_flow(f) for f in exploration.delivered),
+        tuple(canonical_flow(f) for f in exploration.dropped),
+        exploration.steps,
+    )
 
 
 def batcher_request(module_name, client="mobile1", requirements=None):
@@ -368,14 +377,64 @@ class TestModelCache:
         controller.network.bump_epoch()
         assert controller._ensure_compiled() is not first
 
-    def test_commit_invalidates(self):
+    def test_commit_reaches_the_model(self):
+        # What a commit must guarantee: the model the next request
+        # verifies against contains the new resident and explores
+        # exactly like a from-scratch compile of the committed state.
         controller = Controller(figure3_network())
-        first = controller._ensure_compiled()
+        controller._ensure_compiled()
         result = controller.request(batcher_request("batcher"))
         assert result.accepted
-        second = controller._ensure_compiled()
-        assert second is not first
-        assert "batcher" in second.modules
+        model = controller._ensure_compiled()
+        assert "batcher" in model.modules
+        fresh = NetworkCompiler(controller.network).compile()
+        assert set(model.graph.models) == set(fresh.graph.models)
+        assert model.graph.edges == fresh.graph.edges
+        origin = parse_requirement(
+            "reach from internet udp -> client"
+        ).origin
+        assert canonical_exploration(
+            model.explore_from(origin.node, origin.flow)
+        ) == canonical_exploration(
+            fresh.explore_from(origin.node, origin.flow)
+        )
+
+    def test_kill_unsplices_the_model(self):
+        controller = Controller(figure3_network())
+        assert controller.request(batcher_request("batcher")).accepted
+        model = controller._ensure_compiled()
+        assert controller.kill("batcher")
+        assert controller._ensure_compiled() is model
+        assert "batcher" not in model.modules
+        fresh = NetworkCompiler(controller.network).compile()
+        assert model.graph.edges == fresh.graph.edges
+        assert set(model.graph.models) == set(fresh.graph.models)
+        assert controller.stats()["model_rebuilds"]["cold"] == 1
+
+    def test_kill_on_a_stale_model_recompiles(self):
+        # An out-of-band epoch bump made the model stale *before* the
+        # kill; un-splicing must not launder it back to "current".
+        controller = Controller(figure3_network())
+        assert controller.request(batcher_request("batcher")).accepted
+        controller.network.bump_epoch()
+        assert controller.kill("batcher")
+        controller._ensure_compiled()
+        assert controller.stats()["model_rebuilds"]["signature"] == 1
+
+    def test_an_exception_mid_trial_drops_the_model(self):
+        controller = Controller(figure3_network())
+        controller._ensure_compiled()
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("mid-trial")
+
+        controller._verify_all = boom
+        with pytest.raises(RuntimeError):
+            controller.request(batcher_request("batcher"))
+        del controller._verify_all
+        assert controller._compiled is None
+        controller._ensure_compiled()
+        assert controller.stats()["model_rebuilds"]["error"] == 1
 
     def test_explicit_invalidate(self):
         controller = Controller(figure3_network())

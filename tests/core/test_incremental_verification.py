@@ -7,7 +7,9 @@ footprint still carries the version recorded at store time, and (c) no
 module address moved in or out of a range the requirement references.
 These tests drive each clause, plus the satellite edge cases: model
 mutation mid-admission, ``seed_mode()`` round-trips, and
-version-counter overflow/reset.
+version-counter overflow/reset -- and what the footprint *is*: one
+witness's path for a satisfied ``reach``, the whole exploration for
+the universal statements.
 """
 
 from repro.click import parse_config
@@ -232,3 +234,115 @@ class TestStats:
         assert "verification_cache" in stats
         assert stats["verification_cache"]["entries"] == 3
         assert stats["symexec_summaries"]["misses"] >= 1
+
+
+def internet_witness_policy():
+    # One existential line with a witness that never enters a platform
+    # (internet -> r0 -> clients), and three universal statements whose
+    # explorations cross the same platforms.
+    return "\n".join((
+        "reach from internet udp -> client",
+        "isolate from internet udp dst port 9 -> client dst port 10",
+        "always from internet udp -> r0 -> client",
+        "reach from internet udp dst port 9 -> client dst port 10",
+    ))
+
+
+def entry_for(controller, line):
+    (entry,) = [
+        entry for key, entry in controller._verification._entries.items()
+        if key[1].startswith(line)
+    ]
+    return entry
+
+
+class TestWitnessAnchoring:
+    def test_kinds_of_anchor(self):
+        controller = Controller(star_network(3), internet_witness_policy())
+        results = controller.verify_snapshot()
+        assert [bool(r) for r in results] == [True, True, True, False]
+        anchors = cache_stats(controller)["anchors"]
+        assert anchors == {"witness": 1, "exploration": 3, "skipped": 0}
+        reach = entry_for(controller, "reach from internet udp -> client")
+        assert reach.footprint == {"internet", "r0", "clients"}
+        always = entry_for(controller, "always")
+        assert {"platform0", "platform1", "platform2"} <= always.footprint
+
+    def test_bump_off_the_witness_path_is_still_a_hit(self):
+        # The exploration visited platform1 (the router forks a branch
+        # to every pool), the witness did not: the existential verdict
+        # survives, the three universal ones do not.
+        controller = Controller(star_network(3), internet_witness_policy())
+        first = verdicts(controller.verify_snapshot())
+        controller.network.node("platform1").flow_table._version += 1
+        before = cache_stats(controller)
+        assert verdicts(controller.verify_snapshot()) == first
+        after = cache_stats(controller)
+        assert after["hits"] - before["hits"] == 1
+        assert after["invalidations"] - before["invalidations"] == 3
+
+    def test_bump_on_the_witness_path_invalidates(self):
+        controller = Controller(star_network(3), internet_witness_policy())
+        controller.verify_snapshot()
+        controller.network.node("r0").table._version += 1
+        before = cache_stats(controller)
+        controller.verify_snapshot()
+        after = cache_stats(controller)
+        assert after["hits"] == before["hits"]
+        assert after["invalidations"] - before["invalidations"] == 4
+
+    def test_stored_result_carries_exactly_the_anchor_witness(self):
+        controller = Controller(
+            star_network(2), "reach from internet udp -> client"
+        )
+        assert controller.request(request()).accepted
+        controller._verification.flush()
+        (fresh,) = controller.verify_snapshot()[:1]
+        # Several ways in: straight through the router, or via the
+        # batcher (one flow per clause of its filter).
+        assert len(fresh.witnesses) == 3
+        (cached,) = controller.verify_snapshot()[:1]
+        assert cache_stats(controller)["hits"] >= 1
+        (anchor,) = cached.witnesses
+        assert [entry.node for entry in anchor.trace] == [
+            "internet", "r0", "clients",
+        ]
+        assert anchor is fresh.witnesses[0]
+        assert bool(cached) and cached.reason == fresh.reason
+
+    def test_anchor_through_the_next_candidate_dies_with_its_deploy(self):
+        # The operator line is only satisfiable through the resident on
+        # platform1.  A newcomer's first candidate (platform0) fails its
+        # own requirement, but the operator verdict explored during that
+        # trial is anchored through platform1 -- and the second
+        # candidate's trial deploy on platform1 must invalidate it.
+        controller = Controller(
+            star_network(2),
+            "reach from internet udp -> resident:dst:0 -> client",
+        )
+        assert controller.request(
+            request("resident"), pinned_platform="platform1"
+        ).accepted
+        controller._verification.flush()
+        newcomer = ClientRequest(
+            client_id="bob",
+            role=ROLE_CLIENT,
+            config_source=MODULE_CONFIG,
+            requirements=(
+                "reach from internet udp -> platform1"
+                " -> newcomer:dst:0 -> client"
+            ),
+            owned_addresses=("172.16.15.133",),
+            module_name="newcomer",
+        )
+        before = cache_stats(controller)
+        result = controller.request(newcomer)
+        assert result.accepted and result.platform == "platform1"
+        after = cache_stats(controller)
+        assert after["anchors"]["witness"] - before["anchors"]["witness"] == 1
+        assert after["invalidations"] - before["invalidations"] == 1
+        assert after["anchors"]["skipped"] - before["anchors"]["skipped"] == 1
+        # Nothing stale survived the commit.
+        warm = verdicts(controller.verify_snapshot())
+        controller._verification.flush()
+        assert verdicts(controller.verify_snapshot()) == warm

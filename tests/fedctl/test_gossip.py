@@ -89,6 +89,28 @@ class TestRumorMongering:
             bus.drain("b")
 
 
+class TestRemoteKeyBookkeeping:
+    def test_evicted_entries_are_forgotten(self):
+        bus = GossipBus()
+        a = GossipingVerdictCache(bus, "a")
+        b = GossipingVerdictCache(bus, "b", capacity=4)
+        for index in range(50):
+            a.put("k%d" % index, index)
+            bus.drain("b")
+        assert len(b) == 4
+        assert b._remote_keys == {"k46", "k47", "k48", "k49"}
+
+    def test_a_local_put_can_evict_a_remote_entry(self):
+        bus = GossipBus()
+        a = GossipingVerdictCache(bus, "a")
+        b = GossipingVerdictCache(bus, "b", capacity=1)
+        a.put("remote", 1)
+        bus.drain("b")
+        assert b._remote_keys == {"remote"}
+        b.put("local", 2)
+        assert b._remote_keys == set()
+
+
 class TestAntiEntropy:
     def test_reconciles_overflow_losses(self):
         bus, a, b = two_members(inbox_limit=1)

@@ -340,6 +340,50 @@ class TestControllerInstrumentation:
         assert stats["deployed_modules"] == 1
         assert "verdict_cache" in stats
 
+    def drive_model_decisions(self, controller):
+        """One of each: cold compile, commit splice, kill un-splice,
+        explicit invalidation, out-of-band epoch bump, and a reach
+        verdict anchored to a witness during the admission's trial."""
+        assert controller.request(self.request()).accepted
+        assert controller.kill("batcher")
+        controller.invalidate_model_cache()
+        controller.verify_snapshot()
+        controller.network.bump_epoch()
+        controller.verify_snapshot()
+
+    def test_model_and_anchor_decisions_are_counted(self):
+        obs = Observability()
+        controller = Controller(
+            figure3_network(), "reach from internet udp -> client",
+            obs=obs,
+        )
+        self.drive_model_decisions(controller)
+        snap = obs.metrics.snapshot()
+        assert snap["controller_model_rebuilds_total"]["values"] == {
+            "reason=cold": 1, "reason=invalidated": 1,
+            "reason=signature": 1,
+        }
+        assert snap["controller_model_splices_total"]["values"] == {
+            "op=commit": 1, "op=kill": 1,
+        }
+        anchors = snap["symexec_verdict_anchor_total"]["values"]
+        assert anchors["kind=witness"] >= 1
+        (root,) = obs.tracer.roots[:1]
+        verify = root.find("verify")
+        assert {"reused", "explored"} <= set(verify.attrs)
+
+    def test_model_and_anchor_decisions_in_stats_without_obs(self):
+        controller = Controller(
+            figure3_network(), "reach from internet udp -> client",
+        )
+        self.drive_model_decisions(controller)
+        stats = controller.stats()
+        assert stats["model_rebuilds"] == {
+            "cold": 1, "signature": 1, "invalidated": 1, "error": 0,
+        }
+        assert stats["model_splices"] == {"commit": 1, "kill": 1}
+        assert stats["verification_cache"]["anchors"]["witness"] >= 1
+
 
 class TestPlatformInstrumentation:
     def test_lifecycle_metrics_through_a_boot_and_suspend_cycle(self):

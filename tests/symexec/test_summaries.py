@@ -148,6 +148,110 @@ class TestGraphTables:
         )
 
 
+def table_view(tables):
+    return (
+        {node: program.__qualname__
+         for node, program in tables.programs.items()},
+        {entry: tuple(hop[:2] + hop[3:] for hop in hops)
+         for entry, hops in tables.segments.items()},
+    )
+
+
+class TestTablesFollowASplice:
+    def spliced(self):
+        net = figure3_network()
+        compiled = NetworkCompiler(net).compile()
+        platform = net.platforms()[0]
+        config = parse_config(PIPELINE)
+        address = platform.allocate_address()
+        platform.deploy("trial", address, config)
+        return compiled, platform.name, address, config
+
+    def test_touched_since_reports_what_changed(self):
+        graph = pipeline_graph()
+        version = graph.version
+        assert graph.touched_since(version) == set()
+        graph.add_node("x", model_for("Discard"),
+                       payload=create_element("Discard", "x", []))
+        graph.connect("src", 5, "x", 0)
+        assert graph.touched_since(version) == {"x", "src"}
+        later = graph.version
+        graph.remove_node("x")
+        assert graph.touched_since(later) == {"x", "src"}
+        assert ("src", 5) not in graph.edges
+
+    def test_touched_since_gives_up_past_its_log(self):
+        graph = pipeline_graph()
+        version = graph.version
+        for index in range(graph._touch_log.maxlen):
+            graph.add_node("n%d" % index, model_for("Discard"))
+        assert graph.touched_since(version) is None
+        assert graph.touched_since(graph.version - 3) is not None
+
+    def test_patched_tables_equal_rebuilt_tables(self):
+        compiled, platform, address, config = self.spliced()
+        cache = SummaryCache()
+        cache.tables_for(compiled.graph)
+        with compiled.with_trial_module(
+            platform, "trial", address, config
+        ):
+            patched = cache.tables_for(compiled.graph)
+            assert table_view(patched) == table_view(
+                SummaryCache().tables_for(compiled.graph)
+            )
+        restored = cache.tables_for(compiled.graph)
+        assert table_view(restored) == table_view(
+            SummaryCache().tables_for(compiled.graph)
+        )
+        stats = cache.stats()
+        assert stats["patches"] == stats["invalidations"] == 2
+        # Only the trial module's nodes were compiled for the patch.
+        assert stats["nodes_summarized"] == len(restored.programs) + len(
+            config.elements
+        )
+
+    def test_touching_a_summarized_node_rebuilds(self):
+        graph = pipeline_graph()
+        cache = SummaryCache()
+        cache.tables_for(graph)
+        # Rewiring *out of* a node that has a program may cut a chain
+        # composed earlier: not patchable.
+        summarized = next(
+            node for node in cache.tables_for(graph).programs
+            if (node, 0) in graph.edges
+        )
+        graph.add_node("x", model_for("Discard"),
+                       payload=create_element("Discard", "x", []))
+        graph.connect(summarized, 7, "x", 0)
+        rebuilt = cache.tables_for(graph)
+        assert cache.stats()["patches"] == 0
+        assert table_view(rebuilt) == table_view(
+            SummaryCache().tables_for(graph)
+        )
+
+    def test_element_programs_of_departed_tenants_are_forgotten(self):
+        net = figure3_network()
+        compiled = NetworkCompiler(net).compile()
+        platform = net.platforms()[0]
+        cache = SummaryCache()
+        for tenant in range(200):
+            config = parse_config(
+                PIPELINE.replace("10.0.0.9", "10.0.%d.9" % tenant)
+            )
+            address = platform.allocate_address()
+            platform.deploy("trial", address, config)
+            with compiled.with_trial_module(
+                platform.name, "trial", address, config
+            ):
+                cache.tables_for(compiled.graph)
+            platform.undeploy("trial")
+            platform.release_address(address)
+        live = len(cache.tables_for(compiled.graph).programs)
+        assert len(cache._element_cache) <= 2 * (
+            live + len(config.elements)
+        )
+
+
 class TestSegmentComposition:
     def test_pipeline_composes_into_a_chain(self):
         cache = SummaryCache()
