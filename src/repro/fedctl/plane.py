@@ -719,10 +719,10 @@ class FederatedControlPlane:
         movement bound, *only* tenants that now route to the new shard
         (checked, violations raise) -- have their modules migrated
         over through the journaled adopt fast path
-        (:meth:`Controller.adopt_module`): each move writes a deploy
-        intent on the destination before the trial placement, so a
-        crash mid-reshard leaves an orphan the next recovery
-        reconciles away.
+        (:meth:`Controller.adopt_module`): each move trial-places the
+        module on the destination and journals its deploy intent and
+        commit around the install, so a crash mid-reshard leaves an
+        orphan placement the next recovery reconciles away.
         """
         from repro.fedctl.invariants import (
             reshard_movement_violations,

@@ -395,23 +395,6 @@ class CompiledNetwork:
         state._demux_cache = None
         self.graph.remove_nodes(nodes)
 
-    def with_trial_module(
-        self, platform_name: str, module_id: str, address: int, config
-    ) -> "TrialSplice":
-        """Splice one module for the length of a ``with`` block.
-
-        The admission fast path: instead of recompiling every node
-        model for each candidate placement, the already-compiled
-        operator network is reused and only the platform-local module
-        subgraph is added -- and removed again on exit unless
-        :meth:`TrialSplice.commit` was called, in which case the module
-        stays in the model as a resident.  The caller must have
-        trial-deployed the module on the platform before entering.
-        """
-        return TrialSplice(
-            self, platform_name, module_id, address, config
-        )
-
     # -- engine -----------------------------------------------------------
     def engine(self, **kwargs) -> SymbolicEngine:
         """A fresh symbolic engine over the compiled graph."""
@@ -551,30 +534,6 @@ class CompiledNetwork:
                 part = engine.inject_departure(node_name, seed)
                 merge_explorations(merged, part)
         return merged
-
-
-class TrialSplice:
-    """``with compiled.with_trial_module(...) as compiled:`` -- a splice
-    that is undone on exit unless :meth:`commit` kept it."""
-
-    def __init__(self, compiled: CompiledNetwork, platform_name: str,
-                 module_id: str, address: int, config):
-        self.compiled = compiled
-        self.module_id = module_id
-        self._splice_args = (platform_name, module_id, address, config)
-        self._committed = False
-
-    def __enter__(self) -> CompiledNetwork:
-        self.compiled.splice(*self._splice_args)
-        return self.compiled
-
-    def commit(self) -> None:
-        """Keep the module in the model when the block exits."""
-        self._committed = True
-
-    def __exit__(self, *exc_info) -> None:
-        if not self._committed:
-            self.compiled.unsplice(self.module_id)
 
 
 def merge_explorations(target: Exploration, part: Exploration) -> None:

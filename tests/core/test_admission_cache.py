@@ -280,13 +280,10 @@ class TestIncrementalCompile:
         assert address2 == address
         platform2.deploy("batcher", address2, config,
                          proto=17, port=1500)
-        with base.with_trial_module(
-            "platform3", "batcher", address2, config,
-        ) as compiled:
-            inc_result, inc_exp = self._reach_results(
-                compiled, requirement
-            )
-            assert "batcher/dst" in compiled.graph.models
+        base.splice("platform3", "batcher", address2, config)
+        inc_result, inc_exp = self._reach_results(base, requirement)
+        assert "batcher/dst" in base.graph.models
+        base.unsplice("batcher")
         platform2.undeploy("batcher")
 
         assert bool(full_result) == bool(inc_result)
@@ -311,15 +308,12 @@ class TestIncrementalCompile:
         platform = net.node("platform3")
         address = platform.allocate_address()
         platform.deploy("m1", address, config)
-        with base.with_trial_module("platform3", "m1", address, config):
-            pass  # fine once
+        base.splice("platform3", "m1", address, config)  # fine once
+        base.unsplice("m1")
         from repro.common.errors import VerificationError
         base.modules["m1"] = ("platform3", address, config)
         with pytest.raises(VerificationError):
-            with base.with_trial_module(
-                "platform3", "m1", address, config,
-            ):
-                pass
+            base.splice("platform3", "m1", address, config)
 
 
 class TestRouteElision:

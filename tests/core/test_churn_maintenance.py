@@ -3,7 +3,9 @@
 Three properties of the admission path under tenant churn, each driven
 by the same seeded operation sequence built from ``repro.core.catalog``
 (admit / kill-oldest / dry-run / rejected and unsatisfiable requests,
-with a migration and an out-of-band ``flow_table`` bump sprinkled in):
+with migrations -- one refused for a full target -- an export -> adopt
+-> kill round trip through a sibling controller, and an out-of-band
+``flow_table`` bump sprinkled in):
 
 * **differential** -- after every operation the controller under test
   is indistinguishable from an oracle controller that flushes its
@@ -15,11 +17,12 @@ with a migration and an out-of-band ``flow_table`` bump sprinkled in):
   the flows a fresh ``NetworkCompiler(network).compile()`` gives,
   pseudo-ports included;
 * **retention** -- in steady state no container in the control plane
-  grows with the number of admissions served, and no admission
-  recompiles the residents.
+  grows with the number of admissions served, and no admission, move
+  or adoption recompiles the residents.
 """
 
 import random
+from collections import Counter
 
 from repro.core import (
     CachingSecurityAnalyzer,
@@ -118,11 +121,25 @@ def tenant_request(rng: random.Random, index: int):
     )
 
 
-def new_controller(policy: str = POLICY) -> Controller:
+def new_controller(policy: str = POLICY, shard: int = 0) -> Controller:
     return Controller(
-        shard_network(0, capacity=RESIDENTS), policy,
+        shard_network(shard, capacity=RESIDENTS), policy,
         journal=DeploymentJournal(),
     )
+
+
+def round_trip(controller, sibling, module_id):
+    """Export -> adopt -> kill, there and back: the module leaves for
+    ``sibling`` and returns, as a live reshard would move it."""
+    away = sibling.adopt_module(
+        controller.export_module(module_id), origin="churn"
+    )
+    assert away, away.reason
+    assert controller.kill(module_id)
+    back = controller.adopt_module(sibling.export_module(module_id))
+    assert back, back.reason
+    assert sibling.kill(module_id)
+    return away.target, away.new_address, back.target, back.new_address
 
 
 def reach_view(results):
@@ -153,6 +170,12 @@ class Churn:
         self.rng = random.Random(seed)
         self.subject = new_controller(policy)
         self.oracle = new_controller(policy) if with_oracle else None
+        #: Each controller's own sibling for adoption round trips.
+        self.siblings = {
+            controller: new_controller(policy, shard=1)
+            for controller in (self.subject, self.oracle)
+            if controller is not None
+        }
 
     def both(self, operation, view):
         """Apply ``operation(controller)`` to the subject and the
@@ -196,6 +219,31 @@ class Churn:
                     lambda r: (r.migrated, r.new_address, r.reason),
                 )
                 yield "migrate"
+                # The same kind of move against a full target: refused.
+                module_id = rng.choice(residents)
+                here = self.subject.deployed[module_id].platform
+                target = next(p for p in platforms if p != here)
+
+                def refused(controller):
+                    full = controller.network.node(target)
+                    capacity, full.capacity = full.capacity, len(full.modules)
+                    try:
+                        return controller.migrate(module_id, target)
+                    finally:
+                        full.capacity = capacity
+
+                outcome = self.both(
+                    refused, lambda r: (r.migrated, r.reason),
+                )
+                assert outcome.reason == "target platform is at capacity"
+                yield "migrate"
+            if index % 89 == 88:
+                module_id = rng.choice(residents)
+                self.both(
+                    lambda c: round_trip(c, self.siblings[c], module_id),
+                    lambda view: view,
+                )
+                yield "adopt"
             if index % 131 == 130:
                 name = rng.choice(platforms)
 
@@ -239,7 +287,9 @@ class TestChurnDifferential:
             seen.add(op)
             assert controller_state_digest(churn.subject) == \
                 controller_state_digest(churn.oracle)
-        assert seen == {"admit", "kill", "migrate", "bump", "snapshot"}
+        assert seen == {
+            "admit", "kill", "migrate", "adopt", "bump", "snapshot",
+        }
         # The run did exercise what it claims to: verdicts were reused,
         # the model was maintained, and universal verdicts kept their
         # whole-exploration anchor.
@@ -249,6 +299,10 @@ class TestChurnDifferential:
         assert stats["verification_cache"]["anchors"]["skipped"] > 0
         assert stats["model_splices"]["commit"] > 500
         assert stats["model_splices"]["kill"] > 500
+        # Moves and adoptions followed the model too: no recompile.
+        assert stats["model_splices"]["migrate"] > 0
+        assert stats["model_splices"]["adopt"] > 0
+        assert stats["model_rebuilds"]["signature"] == 0
 
     def test_maintained_model_equals_a_fresh_compile(self):
         # After *every* operation the maintained model is structurally
@@ -294,6 +348,9 @@ class TestRetention:
         rng = random.Random(31)
         residents = []
         index = 0
+        sibling = new_controller(shard=1)
+        platforms = [p.name for p in subject.network.platforms()]
+        moves = Counter()
 
         def rounds(count):
             nonlocal index
@@ -315,6 +372,15 @@ class TestRetention:
                 if len(residents) > RESIDENTS:
                     assert subject.kill(residents.pop(0))
                 done += 1
+                if done % 7 == 0:
+                    mover = residents[len(residents) // 2]
+                    here = subject.deployed[mover].platform
+                    there = next(p for p in platforms if p != here)
+                    assert subject.migrate(mover, there)
+                    moves["migrate"] += 1
+                if done % 50 == 0:
+                    round_trip(subject, sibling, residents[-1])
+                    moves["adopt"] += 1
 
         def sizes():
             return {
@@ -328,17 +394,25 @@ class TestRetention:
         rounds(300)
         before, stats_before = sizes(), subject.stats()
         appended_before = len(subject.journal)
+        moves_before = moves.copy()
         rounds(1000)
         after, stats_after = sizes(), subject.stats()
+        moved = moves - moves_before
+        assert moved["migrate"] > 100 and moved["adopt"] == 20
         for name, size in after.items():
             assert size <= before[name] + 40, (name, before, after)
         # ``len(journal)`` still counts history: two records per admit,
-        # two per kill.
-        assert len(subject.journal) - appended_before == 4000
-        # No admission recompiled the residents...
+        # two per kill, two per migration, and an adoption round trip
+        # is a kill plus an adopt.
+        assert len(subject.journal) - appended_before == \
+            4000 + 2 * moved["migrate"] + 4 * moved["adopt"]
+        # No admission, move or adoption recompiled the residents...
         assert stats_after["model_rebuilds"] == stats_before["model_rebuilds"]
-        assert stats_after["model_splices"]["commit"] \
-            - stats_before["model_splices"]["commit"] == 1000
+        splices = Counter(stats_after["model_splices"])
+        splices.subtract(stats_before["model_splices"])
+        assert splices["commit"] == 1000
+        assert splices["migrate"] == moved["migrate"]
+        assert splices["adopt"] == moved["adopt"]
         # ... and the summary tables grew by each trial module's nodes,
         # not by the graph's.
         summarized = (

@@ -1,9 +1,13 @@
 """Stateful property-based fuzzing of the controller.
 
-Random interleavings of request / kill / migrate must preserve the
-controller's bookkeeping invariants: flow rules mirror deployments,
-every module sits on exactly one platform, assigned addresses are
-unique, and platform tables never leak rules for dead modules.
+Random interleavings of request / kill / migrate / adopt (to and from
+a sibling controller) must preserve the controller's bookkeeping
+invariants: flow rules mirror deployments, every module sits on exactly
+one platform, assigned addresses are unique, platform tables never leak
+rules for dead modules, every resilience invariant holds, and no
+journal intent is ever left open.  ``p2`` has no uplink, so the
+operator rule fails there: migrations onto it are refused after a full
+trial.
 """
 
 from hypothesis import settings
@@ -18,6 +22,11 @@ from hypothesis import strategies as st
 from repro.core import ClientRequest, Controller, ROLE_CLIENT
 from repro.netmodel.examples import CLIENT_ADDR
 from repro.netmodel.topology import Network
+from repro.resilience import DeploymentJournal, collect_violations
+
+#: Module egress must reach the clients: true wherever a platform is
+#: linked.
+POLICY = "reach from $module udp -> client"
 
 
 def small_network():
@@ -27,6 +36,7 @@ def small_network():
     net.add_client_subnet("clients", "172.16.0.0/16")
     net.add_platform("p0", "192.0.2.0/24", capacity=3)
     net.add_platform("p1", "198.51.100.0/24", capacity=3)
+    net.add_platform("p2", "203.0.113.0/24", capacity=3)
     net.link("internet", "r")
     net.link("r", "clients")
     net.link("r", "p0")
@@ -55,7 +65,10 @@ def make_request(name, stateful=False):
 class ControllerMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self):
-        self.controller = Controller(small_network())
+        self.controller, self.sibling = (
+            Controller(small_network(), POLICY, journal=DeploymentJournal())
+            for _ in range(2)
+        )
         self.counter = 0
         self.live = set()
 
@@ -90,7 +103,48 @@ class ControllerMachine(RuleBasedStateMachine):
                 target_platform
             )
 
+    @rule(index=st.integers(min_value=0, max_value=30))
+    def failing_migrate(self, index):
+        name = "m%d" % index
+        record = self.controller.deployed.get(name)
+        home = record.platform if record is not None else None
+        assert not self.controller.migrate(name, "p2")
+        if home is not None:
+            assert self.controller.deployed[name].platform == home
+
+    @rule(index=st.integers(min_value=0, max_value=30),
+          home=st.booleans())
+    def adopt(self, index, home):
+        # Hand a module to the other controller the way a reshard does:
+        # export, adopt, and only then kill the source copy.
+        name = "m%d" % index
+        src, dst = (
+            (self.sibling, self.controller) if home
+            else (self.controller, self.sibling)
+        )
+        if name not in src.deployed:
+            return
+        outcome = dst.adopt_module(src.export_module(name))
+        if outcome:
+            assert src.kill(name)
+            if home:
+                self.live.add(name)
+            else:
+                self.live.discard(name)
+        else:
+            assert name in src.deployed and name not in dst.deployed
+
     # -- invariants ------------------------------------------------------
+    @invariant()
+    def nothing_pending_nothing_violated(self):
+        for controller in (
+            getattr(self, "controller", None), getattr(self, "sibling", None)
+        ):
+            if controller is None:
+                continue
+            assert controller.journal.pending_intents() == []
+            assert collect_violations(controller) == []
+
     @invariant()
     def flow_rules_mirror_deployments(self):
         controller = getattr(self, "controller", None)

@@ -297,3 +297,57 @@ class TestFedctlCountersRoundTrip:
             pytest.approx(pool.stats.speedup)
         assert parsed["pool_serial_seconds"][""] == \
             pytest.approx(pool.stats.serial_seconds, rel=1e-3)
+
+
+class TestControllerTrialsRoundTrip:
+    """``controller_trials_total{op,outcome}`` -- one count per trial,
+    labelled by operation and by how it ended -- survives the
+    Prometheus round trip and equals ``Controller.stats()["trials"]``,
+    which counts the same with observability off."""
+
+    def drive(self, obs=None):
+        from repro.core import Controller
+        from repro.resilience.chaos import _module_request, chaos_network
+
+        net = chaos_network()
+        controller = Controller(net, obs=obs)
+        sibling = Controller(chaos_network())
+        assert controller.request(_module_request("mobile1", "m1"))
+        assert controller.request(
+            _module_request("mobile2", "m2"), dry_run=True
+        )
+        assert sibling.request(_module_request("mobile3", "m3"))
+        assert controller.adopt_module(sibling.export_module("m3"))
+        net.unlink("r1", "pb")
+        assert not controller.migrate("m1", "pb")
+        assert controller.migrate("m1", "pc")
+        return controller
+
+    def test_counter_matches_stats_and_survives_the_parser(self):
+        obs = Observability()
+        controller = self.drive(obs)
+        parsed = parse_prometheus(obs.to_prometheus())
+        counted = {
+            labels: value
+            for labels, value in parsed["controller_trials_total"].items()
+        }
+        assert counted == {
+            '{op="admit",outcome="committed"}': 1,
+            '{op="admit",outcome="dry-run"}': 1,
+            '{op="adopt",outcome="committed"}': 1,
+            '{op="migrate",outcome="unsatisfied"}': 1,
+            '{op="migrate",outcome="committed"}': 1,
+        }
+        assert controller.stats()["trials"] == {
+            "admit": {"committed": 1, "dry-run": 1},
+            "adopt": {"committed": 1},
+            "migrate": {"committed": 1, "unsatisfied": 1},
+        }
+
+    def test_stats_count_trials_without_observability(self):
+        controller = self.drive()
+        assert controller.stats()["trials"]["migrate"] == {
+            "committed": 1, "unsatisfied": 1,
+        }
+        splices = controller.stats()["model_splices"]
+        assert splices["migrate"] == 1 and splices["adopt"] == 1

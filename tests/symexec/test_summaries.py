@@ -130,15 +130,14 @@ class TestGraphTables:
         address = platform.allocate_address()
         platform.deploy("trial", address, config)
         try:
-            with compiled.with_trial_module(
-                platform.name, "trial", address, config
-            ):
-                grafted = cache.tables_for(compiled.graph)
-                assert grafted is not tables
-                assert any(
-                    node.startswith("trial/")
-                    for node in grafted.programs
-                )
+            compiled.splice(platform.name, "trial", address, config)
+            grafted = cache.tables_for(compiled.graph)
+            assert grafted is not tables
+            assert any(
+                node.startswith("trial/")
+                for node in grafted.programs
+            )
+            compiled.unsplice("trial")
         finally:
             platform.undeploy("trial")
             platform.release_address(address)
@@ -192,13 +191,12 @@ class TestTablesFollowASplice:
         compiled, platform, address, config = self.spliced()
         cache = SummaryCache()
         cache.tables_for(compiled.graph)
-        with compiled.with_trial_module(
-            platform, "trial", address, config
-        ):
-            patched = cache.tables_for(compiled.graph)
-            assert table_view(patched) == table_view(
-                SummaryCache().tables_for(compiled.graph)
-            )
+        compiled.splice(platform, "trial", address, config)
+        patched = cache.tables_for(compiled.graph)
+        assert table_view(patched) == table_view(
+            SummaryCache().tables_for(compiled.graph)
+        )
+        compiled.unsplice("trial")
         restored = cache.tables_for(compiled.graph)
         assert table_view(restored) == table_view(
             SummaryCache().tables_for(compiled.graph)
@@ -240,10 +238,9 @@ class TestTablesFollowASplice:
             )
             address = platform.allocate_address()
             platform.deploy("trial", address, config)
-            with compiled.with_trial_module(
-                platform.name, "trial", address, config
-            ):
-                cache.tables_for(compiled.graph)
+            compiled.splice(platform.name, "trial", address, config)
+            cache.tables_for(compiled.graph)
+            compiled.unsplice("trial")
             platform.undeploy("trial")
             platform.release_address(address)
         live = len(cache.tables_for(compiled.graph).programs)
