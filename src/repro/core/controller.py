@@ -781,7 +781,10 @@ class Controller:
             record = live[module_id]
             platform = network.node(record.platform)
             if module_id not in platform.modules:
-                platform.adopt_address(record.address)
+                # A crash mid-move leaves the vacated source address
+                # handed out: adopting it again would count it twice.
+                if not platform.address_outstanding(record.address):
+                    platform.adopt_address(record.address)
                 platform.deploy(
                     module_id, record.address, record.config,
                     proto=record.proto, port=record.port,

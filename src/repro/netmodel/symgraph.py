@@ -52,7 +52,7 @@ from repro.symexec.engine import (
     SymGraph,
     TraceEntry,
 )
-from repro.symexec.models import flows_matching, model_for
+from repro.symexec.models import flows_matching
 from repro.symexec.tuning import OPT
 
 #: Platform pseudo-port bases.  A module's slot is its assigned address
@@ -118,14 +118,15 @@ def _router_model(ctx, node, port, flow):
     return results
 
 
-def _middlebox_model_factory(element) -> Callable:
-    inner_model = model_for(element.class_name)
+def _middlebox_model_factory(element, program: Callable) -> Callable:
+    """Wrap a middlebox element's compiled program with the mapping
+    from its element ports to the two interfaces of its topology
+    node."""
     two_sided = element.n_inputs == 2
 
     def middlebox_model(ctx, node, port, flow):
         element_port = port if two_sided else 0
-        # The inner model reads its element instance via the payload.
-        outputs = inner_model(ctx, node, element_port, flow)
+        outputs = program(ctx, node, element_port, flow)
         results = []
         for out_port, out_flow in outputs:
             if two_sided:
@@ -141,9 +142,6 @@ def _middlebox_model_factory(element) -> Callable:
             results.append((iface, out_flow))
         return results
 
-    # Marks the wrapper for the summary compiler, which rebuilds the
-    # same iface mapping around the element's transfer function.
-    middlebox_model.summary_kind = "middlebox"
     return middlebox_model
 
 
@@ -360,13 +358,10 @@ class CompiledNetwork:
         nodes: List[str] = []
         try:
             for name, decl in config.elements.items():
-                element = create_element(decl.class_name, name, decl.args)
-                graph.add_node(
-                    prefix + name,
-                    model_for(decl.class_name),
-                    payload=element,
-                    is_sink=False,  # egress re-enters the platform
-                )
+                # Not a sink even at a ToNetfront: egress re-enters the
+                # platform.
+                graph.add_element(prefix + name, create_element(
+                    decl.class_name, name, decl.args))
                 nodes.append(prefix + name)
             for edge in config.edges:
                 graph.connect(prefix + edge.src, edge.src_port,
@@ -570,12 +565,8 @@ class NetworkCompiler:
             elif isinstance(node, (Host, ClientSubnet, Internet)):
                 graph.add_node(node.name, _endpoint_model, is_sink=True)
             elif isinstance(node, Middlebox):
-                element = node.make_element()
-                graph.add_node(
-                    node.name,
-                    _middlebox_model_factory(element),
-                    payload=element,
-                )
+                graph.add_element(node.name, node.make_element(),
+                                  wrap=_middlebox_model_factory)
             elif isinstance(node, Platform):
                 uplink = min(node.ports) if node.ports else 0
                 graph.add_node(

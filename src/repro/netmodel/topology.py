@@ -198,6 +198,13 @@ class Platform(Node):
         """Addresses handed out and not yet returned to the pool."""
         return self.allocated_total - self.released_total
 
+    def address_outstanding(self, address: int) -> bool:
+        """Whether the allocator counts ``address`` as handed out and
+        not yet returned to the pool."""
+        low = prefix_range(self.pool_network, self.pool_plen)[0]
+        return (low <= address < low + self._next_offset
+                and address not in self._released)
+
     def owned_addresses(self) -> IntervalSet:
         low, high = prefix_range(self.pool_network, self.pool_plen)
         return IntervalSet.from_interval(low, high)

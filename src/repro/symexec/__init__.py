@@ -9,6 +9,8 @@ analysis that idea requires:
 * :mod:`repro.symexec.models` -- loop-free abstract models of every
   Click element (state pushed into the flow, no dynamic allocation --
   the three properties Section 4.3 credits for SYMNET's scalability),
+  each a compiler that binds one element's configuration into the
+  transfer function its graph node runs,
 * :mod:`repro.symexec.engine` -- the exploration engine that injects a
   symbolic packet at a node and tracks every flow over every path,
   splitting on branches and recording constraint/modification history,
@@ -16,7 +18,7 @@ analysis that idea requires:
   ``reach`` requirements (including ``const`` invariants) against the
   exploration output,
 * :mod:`repro.symexec.summaries` -- SymNet-style compositional
-  summaries: per-element transfer functions, composed segment chains,
+  summaries: those transfer functions composed into segment chains,
   and footprint-keyed verdict reuse for incremental re-verification.
 """
 
@@ -34,12 +36,7 @@ from repro.symexec.equivalence import (
     explorations_equivalent,
     flow_signature,
 )
-from repro.symexec.models import (
-    model_for,
-    models_registry,
-    summarizer_for,
-    summarizers_registry,
-)
+from repro.symexec.models import model_for, models_registry
 from repro.symexec.reachability import (
     InvariantViolation,
     ReachabilityChecker,
@@ -78,8 +75,6 @@ __all__ = [
     "explorations_equivalent",
     "flow_signature",
     "models_registry",
-    "summarizer_for",
-    "summarizers_registry",
     "SummaryCache",
     "SegmentSummary",
     "VerificationCache",

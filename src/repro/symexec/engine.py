@@ -246,7 +246,8 @@ class SymGraph:
 
     Nodes are registered with a model callable; edges connect
     ``(node, out_port)`` to ``(node, in_port)``.  Sink nodes terminate
-    flows (their arrivals are still recorded).
+    flows (their arrivals are still recorded).  Element nodes
+    (:meth:`add_element`) run their element's compiled model program.
     """
 
     def __init__(self):
@@ -256,6 +257,9 @@ class SymGraph:
         #: Opaque per-node payloads models may consult (element instance,
         #: routing table, ...).
         self.payloads: Dict[str, object] = {}
+        #: Nodes added by :meth:`add_element`: their model is a compiled
+        #: element program, which segment summaries may compose.
+        self.elements: Set[str] = set()
         #: Structural version: bumped by every node/edge mutation so
         #: derived tables (segment summaries) can validate in O(1).
         self.version = 0
@@ -296,6 +300,24 @@ class SymGraph:
         self.version += 1
         self._touch_log.append((self.version, name))
 
+    def add_element(
+        self, name: str, element, is_sink: bool = False, wrap=None
+    ) -> None:
+        """Register a node running ``element``'s compiled model program.
+
+        The element's class compiler binds its parsed configuration
+        once, here; ``wrap(element, program)`` may adapt the program's
+        ports (a middlebox on a topology link).  The element stays the
+        node's payload.
+        """
+        from repro.symexec.models import model_for
+
+        program = model_for(element.class_name)(element)
+        if wrap is not None:
+            program = wrap(element, program)
+        self.add_node(name, program, payload=element, is_sink=is_sink)
+        self.elements.add(name)
+
     def connect(
         self, src: str, src_port: int, dst: str, dst_port: int
     ) -> None:
@@ -327,6 +349,7 @@ class SymGraph:
             self.models.pop(name, None)
             self.sinks.pop(name, None)
             self.payloads.pop(name, None)
+        self.elements -= gone
         stale = [
             (key, dst) for key, dst in self.edges.items()
             if key[0] in gone or dst[0] in gone
@@ -350,29 +373,22 @@ class SymGraph:
         return sorted(p for (n, p) in self.edges if n == node)
 
     @classmethod
-    def from_click(
-        cls, config, namespace: str = "", payload_filter=None
-    ) -> "SymGraph":
+    def from_click(cls, config, namespace: str = "") -> "SymGraph":
         """Build a graph from a :class:`~repro.click.config.ClickConfig`.
 
         Each element is instantiated (so its arguments are parsed once)
-        and paired with its registered symbolic model.  ``namespace``
-        prefixes node names (``module/element``) so multiple modules can
-        share one graph.
+        and becomes an element node running its compiled model.
+        ``namespace`` prefixes node names (``module/element``) so
+        multiple modules can share one graph.
         """
         from repro.click.element import create_element
-        from repro.symexec.models import model_for
 
         graph = cls()
         prefix = namespace + "/" if namespace else ""
         for name, decl in config.elements.items():
             element = create_element(decl.class_name, name, decl.args)
-            if payload_filter is not None:
-                element = payload_filter(element)
-            graph.add_node(
-                prefix + name,
-                model_for(decl.class_name),
-                payload=element,
+            graph.add_element(
+                prefix + name, element,
                 is_sink=getattr(element, "is_sink", False),
             )
         for edge in config.edges:
@@ -450,9 +466,8 @@ class SymbolicEngine:
         self.max_hops = max_hops
         self.context = ModelContext(graph, self.factory)
         #: Optional :class:`repro.symexec.summaries.SummaryCache`.  When
-        #: set (and the fast path is on), exploration dispatches through
-        #: compiled transfer functions and replays composed segment
-        #: summaries instead of interpreting each element model.
+        #: set (and the fast path is on), exploration replays composed
+        #: segment summaries instead of dispatching hop by hop.
         self.summaries = summaries
         #: Observability bundle; defaults to the shared no-op bundle so
         #: the hot loop never branches on presence.
@@ -585,18 +600,13 @@ class SymbolicEngine:
         worklist_append = worklist.append
         entry_cls = TraceEntry
         steps = result.steps
-        # Summary dispatch tables.  Compiled transfer functions replace
-        # model lookups one for one, and composed segment chains are
-        # replayed inline below -- both are byte-for-byte equivalent to
-        # the generic path, so gating on OPT keeps seed mode exact.
+        # Composed segment chains are replayed inline below -- byte for
+        # byte the generic path, so gating on OPT keeps seed mode exact.
         summaries = self.summaries
         if summaries is not None and OPT.enabled:
-            tables = summaries.tables_for(graph)
-            segment_get = tables.segments.get
-            program_get = tables.programs.get
+            segment_get = summaries.tables_for(graph).segments.get
         else:
             segment_get = None
-            program_get = None
         try:
             while worklist:
                 current_node, in_port, current = worklist_pop()
@@ -697,13 +707,9 @@ class SymbolicEngine:
                 if sinks[current_node]:
                     delivered_append(current)
                     continue
-                if program_get is not None:
-                    model = program_get(current_node)
-                    if model is None:
-                        model = models[current_node]
-                else:
-                    model = models[current_node]
-                outputs = model(context, current_node, in_port, current)
+                outputs = models[current_node](
+                    context, current_node, in_port, current
+                )
                 if not outputs:
                     dropped_append(current)
                     continue

@@ -6,10 +6,21 @@ itself (the stateful firewall *tags* the symbolic packet instead of
 consulting a connection table, so verification is oblivious to flow
 arrival order).
 
-Each model is registered under the element's class name and receives the
-*concrete element instance* as its payload -- argument parsing therefore
-happens exactly once, in the element's ``configure``, and the model and
-the dataplane can never disagree about what a configuration means.
+Each model is registered under the element's class name as a
+*compiler*: ``compile(element) -> program``.  The compiler receives the
+*concrete element instance* -- argument parsing therefore happens
+exactly once, in the element's ``configure``, and the model and the
+dataplane can never disagree about what a configuration means -- and
+computes everything the configuration determines (rule lists, interval
+sets, constants) before the first flow arrives.  The program it returns,
+``program(ctx, node, in_port, flow) -> [(out_port, flow), ...]``, does
+only the flow-dependent work.  Every element node of a
+:class:`~repro.symexec.engine.SymGraph` runs its compiled program on
+every path -- seed engine, generic worklist and segment replay alike --
+so the model is its own summary (SymNet's transfer functions): one
+description per element class.  Programs read ``OPT.enabled`` when they
+run, never when they are compiled, so one graph explores the same way
+under the fast path and under :func:`~repro.symexec.tuning.seed_mode`.
 
 Annotation-style fields used by the models:
 
@@ -29,20 +40,21 @@ from repro.common import fields as F
 from repro.common.errors import VerificationError
 from repro.common.intervals import IntervalSet
 from repro.policy.flowspec import Clause, FlowSpec
-from repro.symexec.engine import ModelContext, SymFlow
+from repro.symexec.engine import ModelContext, SymFlow, WriteRecord
 from repro.symexec.sympacket import SymVar
 from repro.symexec.tuning import OPT
 
-Model = Callable[[ModelContext, str, int, SymFlow],
-                 List[Tuple[int, SymFlow]]]
+Program = Callable[[ModelContext, str, int, SymFlow],
+                   List[Tuple[int, SymFlow]]]
+Compiler = Callable[[object], Program]
 
-_MODELS: Dict[str, Model] = {}
+_MODELS: Dict[str, Compiler] = {}
 
 
 def register_model(class_name: str):
-    """Decorator registering a symbolic model for an element class."""
+    """Decorator registering the model compiler for an element class."""
 
-    def decorate(fn: Model) -> Model:
+    def decorate(fn: Compiler) -> Compiler:
         if class_name in _MODELS:
             raise VerificationError(
                 "model for %r registered twice" % (class_name,)
@@ -53,8 +65,20 @@ def register_model(class_name: str):
     return decorate
 
 
-def model_for(class_name: str) -> Model:
-    """The registered model for ``class_name``.
+def register_program(*class_names: str):
+    """Decorator registering one configuration-free program for
+    ``class_names``: every instance runs it unchanged."""
+
+    def decorate(program: Program) -> Program:
+        for class_name in class_names:
+            register_model(class_name)(lambda element: program)
+        return program
+
+    return decorate
+
+
+def model_for(class_name: str) -> Compiler:
+    """The registered model compiler for ``class_name``.
 
     Unmodelled classes raise: the controller must refuse configurations
     it cannot analyse (only *known* elements are checkable, Section 4.1).
@@ -67,8 +91,8 @@ def model_for(class_name: str) -> Model:
         )
 
 
-def models_registry() -> Dict[str, Model]:
-    """A copy of the class-name -> model registry."""
+def models_registry() -> Dict[str, Compiler]:
+    """A copy of the class-name -> model compiler registry."""
     return dict(_MODELS)
 
 
@@ -78,56 +102,14 @@ def has_model(class_name: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Summarizers (transfer-function compilers, populated by
-# :mod:`repro.symexec.summaries`)
-# ---------------------------------------------------------------------------
-
-#: class name -> summarizer.  A summarizer takes one configured element
-#: instance and returns a *transfer function* with the model signature
-#: but the element's parsed configuration pre-bound -- or the registered
-#: model itself when the model carries no payload-derived state.
-_SUMMARIZERS: Dict[str, Callable[[object], Model]] = {}
-
-
-def register_summary(class_name: str):
-    """Decorator registering a transfer-function summarizer."""
-
-    def decorate(fn: Callable[[object], Model]):
-        if class_name in _SUMMARIZERS:
-            raise VerificationError(
-                "summarizer for %r registered twice" % (class_name,)
-            )
-        if class_name not in _MODELS:
-            raise VerificationError(
-                "summarizer for %r has no base model" % (class_name,)
-            )
-        _SUMMARIZERS[class_name] = fn
-        return fn
-
-    return decorate
-
-
-def summarizer_for(class_name: str):
-    """The registered summarizer for ``class_name`` (None = unsummarized;
-    such elements simply keep the generic model path)."""
-    return _SUMMARIZERS.get(class_name)
-
-
-def summarizers_registry() -> Dict[str, Callable[[object], Model]]:
-    """A copy of the class-name -> summarizer registry."""
-    return dict(_SUMMARIZERS)
-
-
-# ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
 
 _ONE = IntervalSet.single(1)
-_ZERO = IntervalSet.single(0)
-
-
-def _element(ctx: ModelContext, node: str):
-    return ctx.graph.payloads[node]
+_FULL_ADDR = IntervalSet.from_interval(0, (1 << 32) - 1)
+_NON_HTTP_PORTS = IntervalSet.from_interval(0, 65535).subtract(
+    IntervalSet.single(80)
+)
 
 
 def ensure_field(
@@ -259,59 +241,82 @@ def sequential_rules(
     return matched, remaining
 
 
-def _identity(ctx, node, port, flow):
-    return [(0, flow)]
+def swap_endpoints(flow: SymFlow, node: str, ports: bool = True) -> None:
+    """Answer in place: swap the address (and port) bindings.
+
+    The aliasing swap -- after it, ``ip_dst`` IS the variable that was
+    ``ip_src`` -- is the identity proof behind implicit authorization.
+    """
+    src = flow.packet.var(F.IP_SRC)
+    dst = flow.packet.var(F.IP_DST)
+    flow.write_field(F.IP_SRC, dst, node)
+    flow.write_field(F.IP_DST, src, node)
+    if ports:
+        sport = flow.packet.var(F.TP_SRC)
+        dport = flow.packet.var(F.TP_DST)
+        flow.write_field(F.TP_SRC, dport, node)
+        flow.write_field(F.TP_DST, sport, node)
 
 
 # ---------------------------------------------------------------------------
 # I/O and plumbing
 # ---------------------------------------------------------------------------
 
-register_model("FromNetfront")(_identity)
-register_model("FromDevice")(_identity)
-register_model("ToNetfront")(_identity)   # sink flag handled by the graph
-register_model("ToDevice")(_identity)
-register_model("CheckIPHeader")(_identity)
-register_model("Queue")(_identity)        # time is not modelled (Sec. 7)
-register_model("Unqueue")(_identity)
-register_model("TimedUnqueue")(_identity)
-register_model("RatedUnqueue")(_identity)
-register_model("BandwidthShaper")(_identity)
-register_model("Counter")(_identity)
-register_model("FlowMeter")(_identity)
+
+@register_program(
+    "FromNetfront", "FromDevice",
+    "ToNetfront", "ToDevice",   # the sink flag is handled by the graph
+    "CheckIPHeader",
+    # Time, counting and queueing are not modelled (Sec. 7).
+    "Queue", "Unqueue", "TimedUnqueue", "RatedUnqueue", "BandwidthShaper",
+    "Counter", "FlowMeter",
+)
+def _identity(ctx, node, port, flow):
+    return [(0, flow)]
 
 
-@register_model("Discard")
-def _model_discard(ctx, node, port, flow):
+@register_program("Discard", "Idle")
+def _drop(ctx, node, port, flow):
     return []
 
 
-@register_model("Idle")
-def _model_idle(ctx, node, port, flow):
-    return []
-
-
-@register_model("Tee")
-def _model_tee(ctx, node, port, flow):
+@register_program("Tee", "RoundRobinSwitch")
+def _every_wired_output(ctx, node, port, flow):
+    # Tee copies to every output; a round-robin schedule depends on
+    # arrival order, which symbolic execution does not model, so any
+    # output is possible.
     outputs = ctx.graph.connected_outputs(node) or [0]
-    results = []
-    for index, out_port in enumerate(outputs):
-        results.append(
-            (out_port, flow if index == len(outputs) - 1 else flow.fork())
-        )
+    last = len(outputs) - 1
+    return [
+        (out_port, flow if index == last else flow.fork())
+        for index, out_port in enumerate(outputs)
+    ]
+
+
+@register_program("Meter", "RateLimiter")
+def _both_outcomes(ctx, node, port, flow):
+    # Rates are a run-time property (time is not modelled): both the
+    # conformant and the excess outcome are possible for any packet.
+    results = [(0, flow)]
+    if ctx.graph.successor(node, 1) is not None:
+        results.append((1, flow.fork()))
     return results
 
 
 @register_model("Paint")
-def _model_paint(ctx, node, port, flow):
-    element = _element(ctx, node)
-    ensure_field(ctx, flow, "paint")
-    set_const(ctx, flow, "paint", element.color, node)
-    return [(0, flow)]
+def _compile_paint(element):
+    color = element.color
+
+    def program(ctx, node, port, flow):
+        ensure_field(ctx, flow, "paint")
+        set_const(ctx, flow, "paint", color, node)
+        return [(0, flow)]
+
+    return program
 
 
-@register_model("PaintSwitch")
-def _model_paintswitch(ctx, node, port, flow):
+@register_program("PaintSwitch")
+def _paintswitch(ctx, node, port, flow):
     variable = ensure_field(ctx, flow, "paint")
     opt = OPT.enabled
     results = []
@@ -332,27 +337,55 @@ def _model_paintswitch(ctx, node, port, flow):
 
 
 @register_model("IPFilter")
-def _model_ipfilter(ctx, node, port, flow):
-    element = _element(ctx, node)
+def _compile_ipfilter(element):
     rules = [(i, spec) for i, (_allowed, spec) in enumerate(element.rules)]
-    matched, _unmatched = sequential_rules(flow, rules)
-    results = []
-    for rule_index, fork in matched:
-        allowed, _spec = element.rules[rule_index]
-        if allowed:
-            results.append((0, fork))
-    return results
+    allowed_flags = [allowed for allowed, _spec in element.rules]
+
+    def program(ctx, node, port, flow):
+        matched, _unmatched = sequential_rules(flow, rules)
+        return [(0, fork) for rule_index, fork in matched
+                if allowed_flags[rule_index]]
+
+    return program
 
 
-def _classifier_model(ctx, node, port, flow):
-    element = _element(ctx, node)
+@register_model("IPClassifier")
+@register_model("Classifier")
+def _compile_classifier(element):
     rules = list(enumerate(element.patterns))
-    matched, _unmatched = sequential_rules(flow, rules)
-    return [(pattern_index, fork) for pattern_index, fork in matched]
+
+    def program(ctx, node, port, flow):
+        matched, _unmatched = sequential_rules(flow, rules)
+        return matched
+
+    return program
 
 
-register_model("IPClassifier")(_classifier_model)
-register_model("Classifier")(_classifier_model)
+@register_model("IngressFilter")
+def _compile_ingressfilter(element):
+    inbound = element.INBOUND
+    allowed_sources = _FULL_ADDR.subtract(element.protected)
+
+    def program(ctx, node, port, flow):
+        if port == inbound and not flow.constrain_field(
+            F.IP_SRC, allowed_sources
+        ):
+            return []
+        return [(port, flow)]
+
+    return program
+
+
+@register_model("Switch")
+def _compile_switch(element):
+    out_port = element.port
+
+    def program(ctx, node, port, flow):
+        if out_port < 0:
+            return []
+        return [(out_port, flow)]
+
+    return program
 
 
 # ---------------------------------------------------------------------------
@@ -361,54 +394,63 @@ register_model("Classifier")(_classifier_model)
 
 
 @register_model("IPRewriter")
-def _model_iprewriter(ctx, node, port, flow):
-    element = _element(ctx, node)
-    if port >= len(element.inputs):
-        return []
-    pattern = element.inputs[port]
-    if pattern is None:  # `drop` input
-        return []
-    if pattern.src_addr is not None:
-        set_const(ctx, flow, F.IP_SRC, pattern.src_addr, node)
-    if pattern.src_port is not None:
-        low, high = pattern.src_port
-        set_fresh(ctx, flow, F.TP_SRC, node,
-                  IntervalSet.from_interval(low, high))
-    if pattern.dst_addr is not None:
-        set_const(ctx, flow, F.IP_DST, pattern.dst_addr, node)
-    if pattern.dst_port is not None:
-        low, high = pattern.dst_port
-        set_fresh(ctx, flow, F.TP_DST, node,
-                  IntervalSet.from_interval(low, high))
-    return [(pattern.fwd_output, flow)]
+def _compile_iprewriter(element):
+    def ports(bounds):
+        return None if bounds is None else IntervalSet.from_interval(*bounds)
+
+    # Per input port: None for a `drop` input, else the pattern's
+    # rewrites and the output it forwards to.
+    inputs = [
+        None if pattern is None else (
+            pattern.src_addr, ports(pattern.src_port),
+            pattern.dst_addr, ports(pattern.dst_port),
+            pattern.fwd_output,
+        )
+        for pattern in element.inputs
+    ]
+
+    def program(ctx, node, port, flow):
+        if port >= len(inputs) or inputs[port] is None:
+            return []
+        src_addr, src_ports, dst_addr, dst_ports, out_port = inputs[port]
+        if src_addr is not None:
+            set_const(ctx, flow, F.IP_SRC, src_addr, node)
+        if src_ports is not None:
+            set_fresh(ctx, flow, F.TP_SRC, node, src_ports)
+        if dst_addr is not None:
+            set_const(ctx, flow, F.IP_DST, dst_addr, node)
+        if dst_ports is not None:
+            set_fresh(ctx, flow, F.TP_DST, node, dst_ports)
+        return [(out_port, flow)]
+
+    return program
 
 
-@register_model("SetIPAddress")
-def _model_setipaddress(ctx, node, port, flow):
-    set_const(ctx, flow, F.IP_DST, _element(ctx, node).address, node)
-    return [(0, flow)]
+def _const_setter(field: str, attr: str) -> Compiler:
+    """Compiler for an element writing one configured constant."""
+
+    def compile_setter(element):
+        value = getattr(element, attr)
+
+        def program(ctx, node, port, flow):
+            set_const(ctx, flow, field, value, node)
+            return [(0, flow)]
+
+        return program
+
+    return compile_setter
 
 
-@register_model("SetIPSrc")
-def _model_setipsrc(ctx, node, port, flow):
-    set_const(ctx, flow, F.IP_SRC, _element(ctx, node).address, node)
-    return [(0, flow)]
+register_model("SetIPAddress")(_const_setter(F.IP_DST, "address"))
+register_model("SetIPSrc")(_const_setter(F.IP_SRC, "address"))
+register_model("SetTPDst")(_const_setter(F.TP_DST, "port_value"))
+register_model("SetTPSrc")(_const_setter(F.TP_SRC, "port_value"))
+register_model("SetIPTTL")(_const_setter(F.IP_TTL, "ttl"))
+register_model("SetIPTOS")(_const_setter(F.IP_TOS, "tos"))
 
 
-@register_model("SetTPDst")
-def _model_settpdst(ctx, node, port, flow):
-    set_const(ctx, flow, F.TP_DST, _element(ctx, node).port_value, node)
-    return [(0, flow)]
-
-
-@register_model("SetTPSrc")
-def _model_settpsrc(ctx, node, port, flow):
-    set_const(ctx, flow, F.TP_SRC, _element(ctx, node).port_value, node)
-    return [(0, flow)]
-
-
-@register_model("DecIPTTL")
-def _model_deciPttl(ctx, node, port, flow):
+@register_program("DecIPTTL")
+def _decipttl(ctx, node, port, flow):
     results = []
     if ctx.graph.successor(node, 1) is not None:
         expiry_range = IntervalSet.from_interval(0, 1)
@@ -438,44 +480,44 @@ def _model_deciPttl(ctx, node, port, flow):
 
 
 @register_model("StatefulFirewall")
-def _model_statefulfirewall(ctx, node, port, flow):
-    element = _element(ctx, node)
-    if port == element.OUTBOUND:
-        results = []
-        for fork in flows_matching(flow, element.allow_spec):
-            ensure_field(ctx, fork, "firewall_tag")
-            set_const(ctx, fork, "firewall_tag", 1, node)
-            results.append((element.OUTBOUND, fork))
-        return results
-    # Inbound: only flows already tagged (i.e. related response traffic).
-    ensure_field(ctx, flow, "firewall_tag")
-    if not flow.constrain_field("firewall_tag", _ONE):
-        return []
-    return [(element.INBOUND, flow)]
+def _compile_statefulfirewall(element):
+    allow_spec = element.allow_spec
+    outbound = element.OUTBOUND
+    inbound = element.INBOUND
 
-
-@register_model("IngressFilter")
-def _model_ingressfilter(ctx, node, port, flow):
-    element = _element(ctx, node)
-    if port == element.INBOUND:
-        universe = IntervalSet.from_interval(0, (1 << 32) - 1)
-        if not flow.constrain_field(
-            F.IP_SRC, universe.subtract(element.protected)
-        ):
+    def program(ctx, node, port, flow):
+        if port == outbound:
+            results = []
+            for fork in flows_matching(flow, allow_spec):
+                ensure_field(ctx, fork, "firewall_tag")
+                set_const(ctx, fork, "firewall_tag", 1, node)
+                results.append((outbound, fork))
+            return results
+        # Inbound: only flows already tagged (related response traffic).
+        ensure_field(ctx, flow, "firewall_tag")
+        if not flow.constrain_field("firewall_tag", _ONE):
             return []
-    return [(port, flow)]
+        return [(inbound, flow)]
+
+    return program
 
 
 @register_model("ChangeEnforcer")
-def _model_changeenforcer(ctx, node, port, flow):
-    element = _element(ctx, node)
-    ensure_field(ctx, flow, "sandboxed")
-    if port == element.TO_MODULE:
-        return [(element.TO_MODULE, flow)]
-    # Module egress: runtime enforcement guarantees authorization, which
-    # the static security checker recognizes through the annotation.
-    set_const(ctx, flow, "sandboxed", 1, node)
-    return [(element.FROM_MODULE, flow)]
+def _compile_changeenforcer(element):
+    to_module = element.TO_MODULE
+    from_module = element.FROM_MODULE
+
+    def program(ctx, node, port, flow):
+        ensure_field(ctx, flow, "sandboxed")
+        if port == to_module:
+            return [(to_module, flow)]
+        # Module egress: runtime enforcement guarantees authorization,
+        # which the static security checker recognizes through the
+        # annotation.
+        set_const(ctx, flow, "sandboxed", 1, node)
+        return [(from_module, flow)]
+
+    return program
 
 
 # ---------------------------------------------------------------------------
@@ -483,34 +525,38 @@ def _model_changeenforcer(ctx, node, port, flow):
 # ---------------------------------------------------------------------------
 
 
-@register_model("IPEncap")
-def _model_ipencap(ctx, node, port, flow):
-    element = _element(ctx, node)
-    _encap_with_writes(ctx, node, flow, {
-        F.IP_PROTO: element.proto,
-        F.IP_SRC: element.src,
-        F.IP_DST: element.dst,
-    })
-    return [(0, flow)]
+def _encapsulation(outer_fields) -> Compiler:
+    """Compiler for an element pushing an outer header of configured
+    constants (``outer_fields(element)``: field -> value)."""
+
+    def compile_encap(element):
+        outer = outer_fields(element)
+
+        def program(ctx, node, port, flow):
+            _encap_with_writes(ctx, node, flow, outer)
+            return [(0, flow)]
+
+        return program
+
+    return compile_encap
 
 
-@register_model("UDPIPEncap")
-def _model_udpipencap(ctx, node, port, flow):
-    element = _element(ctx, node)
-    _encap_with_writes(ctx, node, flow, {
-        F.IP_PROTO: F.UDP,
-        F.IP_SRC: element.src,
-        F.TP_SRC: element.sport,
-        F.IP_DST: element.dst,
-        F.TP_DST: element.dport,
-    })
-    return [(0, flow)]
+register_model("IPEncap")(_encapsulation(lambda element: {
+    F.IP_PROTO: element.proto,
+    F.IP_SRC: element.src,
+    F.IP_DST: element.dst,
+}))
+register_model("UDPIPEncap")(_encapsulation(lambda element: {
+    F.IP_PROTO: F.UDP,
+    F.IP_SRC: element.src,
+    F.TP_SRC: element.sport,
+    F.IP_DST: element.dst,
+    F.TP_DST: element.dport,
+}))
 
 
 def _encap_with_writes(ctx, node, flow, outer_consts):
     """Push an encapsulation layer, logging each outer-field write."""
-    from repro.symexec.engine import WriteRecord
-
     old = dict(flow.packet.vars)
     outer_vars = {}
     for field, value in outer_consts.items():
@@ -531,10 +577,8 @@ def _encap_with_writes(ctx, node, flow, outer_consts):
         )
 
 
-@register_model("IPDecap")
-def _model_ipdecap(ctx, node, port, flow):
-    from repro.symexec.engine import WriteRecord
-
+@register_program("IPDecap")
+def _ipdecap(ctx, node, port, flow):
     before = dict(flow.packet.vars)
     if flow.packet.decapsulate():
         # Restored inner header: log writes for fields whose binding
@@ -570,220 +614,159 @@ def _model_ipdecap(ctx, node, port, flow):
 # ---------------------------------------------------------------------------
 
 
-@register_model("DPI")
-def _model_dpi(ctx, node, port, flow):
+@register_program("DPI")
+def _dpi(ctx, node, port, flow):
     # Payload content is opaque to the engine: both outcomes possible.
     miss = flow.fork()
     return [(0, flow), (1, miss)]
 
 
 @register_model("TransparentProxy")
-def _model_transparentproxy(ctx, node, port, flow):
-    element = _element(ctx, node)
-    results = []
-    redirected = flow.fork()
-    if redirected.constrain_field(F.TP_DST, IntervalSet.single(80)):
-        set_const(ctx, redirected, F.IP_DST, element.proxy_addr, node)
-        set_const(ctx, redirected, F.TP_DST, element.proxy_port, node)
-        results.append((0, redirected))
-    passthrough = flow
-    if passthrough.constrain_field(
-        F.TP_DST,
-        IntervalSet.from_interval(0, 65535).subtract(IntervalSet.single(80)),
-    ):
-        results.append((0, passthrough))
-    return results
+def _compile_transparentproxy(element):
+    proxy_addr = element.proxy_addr
+    proxy_port = element.proxy_port
+    http = IntervalSet.single(80)
+
+    def program(ctx, node, port, flow):
+        results = []
+        redirected = flow.fork()
+        if redirected.constrain_field(F.TP_DST, http):
+            set_const(ctx, redirected, F.IP_DST, proxy_addr, node)
+            set_const(ctx, redirected, F.TP_DST, proxy_port, node)
+            results.append((0, redirected))
+        passthrough = flow
+        if passthrough.constrain_field(F.TP_DST, _NON_HTTP_PORTS):
+            results.append((0, passthrough))
+        return results
+
+    return program
 
 
-@register_model("HTTPOptimizer")
-def _model_httpoptimizer(ctx, node, port, flow):
+@register_program("HTTPOptimizer")
+def _httpoptimizer(ctx, node, port, flow):
     # The optimizer may rewrite HTTP headers: the payload is redefined,
     # which is exactly what breaks the Section 8 payload invariant.
     set_fresh(ctx, flow, F.PAYLOAD, node)
     return [(0, flow)]
 
 
-@register_model("WebCache")
-def _model_webcache(ctx, node, port, flow):
+@register_program("WebCache")
+def _webcache(ctx, node, port, flow):
     results = [(0, flow)]
     if ctx.graph.successor(node, 1) is not None:
         hit = flow.fork()
-        src = hit.packet.var(F.IP_SRC)
-        dst = hit.packet.var(F.IP_DST)
-        hit.write_field(F.IP_SRC, dst, node)
-        hit.write_field(F.IP_DST, src, node)
-        sport = hit.packet.var(F.TP_SRC)
-        dport = hit.packet.var(F.TP_DST)
-        hit.write_field(F.TP_SRC, dport, node)
-        hit.write_field(F.TP_DST, sport, node)
+        swap_endpoints(hit, node)
         set_fresh(ctx, hit, F.PAYLOAD, node)
         results.append((1, hit))
     return results
 
 
-@register_model("Multicast")
-def _model_multicast(ctx, node, port, flow):
-    element = _element(ctx, node)
-    results = []
-    for index, dest in enumerate(element.destinations):
-        fork = (
-            flow if index == len(element.destinations) - 1 else flow.fork()
-        )
-        set_const(ctx, fork, F.IP_DST, dest, node)
-        results.append((0, fork))
-    return results
+def _one_copy_per_address(attr: str) -> Compiler:
+    """Compiler for an element sending each flow to every configured
+    destination address (``Multicast``) or to one of them
+    (``LoadBalancer``): one symbolic branch per address, so the
+    security check can vet each constant against the white-list."""
+
+    def compile_fanout(element):
+        addresses = list(getattr(element, attr))
+        last = len(addresses) - 1
+
+        def program(ctx, node, port, flow):
+            results = []
+            for index, address in enumerate(addresses):
+                fork = flow if index == last else flow.fork()
+                set_const(ctx, fork, F.IP_DST, address, node)
+                results.append((0, fork))
+            return results
+
+        return program
+
+    return compile_fanout
 
 
-@register_model("EchoResponder")
-def _model_echoresponder(ctx, node, port, flow):
-    element = _element(ctx, node)
-    if not flow.constrain_field(F.IP_PROTO, IntervalSet.single(F.UDP)):
-        return []
-    src = flow.packet.var(F.IP_SRC)
-    dst = flow.packet.var(F.IP_DST)
-    # The aliasing swap: after this, ip_dst IS the variable that was
-    # ip_src -- the identity proof behind implicit authorization.
-    flow.write_field(F.IP_SRC, dst, node)
-    flow.write_field(F.IP_DST, src, node)
-    sport = flow.packet.var(F.TP_SRC)
-    dport = flow.packet.var(F.TP_DST)
-    flow.write_field(F.TP_SRC, dport, node)
-    flow.write_field(F.TP_DST, sport, node)
-    if element.response_payload is not None:
-        set_fresh(ctx, flow, F.PAYLOAD, node)
-    return [(0, flow)]
+register_model("Multicast")(_one_copy_per_address("destinations"))
+register_model("LoadBalancer")(_one_copy_per_address("backends"))
+
+
+def _responder(proto, ports: bool, new_payload) -> Compiler:
+    """Compiler for an element answering each packet to its sender:
+    only protocol ``proto`` (None: any) is answered, addresses -- and
+    with ``ports`` the transport ports -- are swapped, and the payload
+    is redefined when ``new_payload(element)`` holds."""
+
+    def compile_responder(element):
+        only = None if proto is None else IntervalSet.single(proto)
+        rewrites_payload = new_payload(element)
+
+        def program(ctx, node, port, flow):
+            if only is not None and not flow.constrain_field(
+                F.IP_PROTO, only
+            ):
+                return []
+            swap_endpoints(flow, node, ports)
+            if rewrites_payload:
+                set_fresh(ctx, flow, F.PAYLOAD, node)
+            return [(0, flow)]
+
+        return program
+
+    return compile_responder
+
+
+register_model("EchoResponder")(_responder(
+    F.UDP, True, lambda element: element.response_payload is not None))
+register_model("GeoDNSServer")(_responder(None, True, lambda element: True))
+register_model("ICMPPingResponder")(_responder(
+    F.ICMP, False, lambda element: False))
 
 
 @register_model("ReverseProxy")
-def _model_reverseproxy(ctx, node, port, flow):
-    element = _element(ctx, node)
-    if port == element.CLIENT_SIDE:
-        # A terminating proxy: the upstream request is sourced from the
-        # address the client contacted (the module's own address), i.e.
-        # the ingress destination -- an aliasing bind, not a fresh var.
+def _compile_reverseproxy(element):
+    client_side = element.CLIENT_SIDE
+    origin_side = element.ORIGIN_SIDE
+    origin_addr = element.origin_addr
+    origin_port = element.origin_port
+
+    def program(ctx, node, port, flow):
+        # Either way the proxy sources traffic from the address the
+        # client contacted (its own), i.e. the ingress destination --
+        # an aliasing bind, not a fresh variable.
         ingress_dst = flow.packet.var(F.IP_DST)
         flow.write_field(F.IP_SRC, ingress_dst, node)
-        set_const(ctx, flow, F.IP_DST, element.origin_addr, node)
-        set_const(ctx, flow, F.TP_DST, element.origin_port, node)
-        return [(element.ORIGIN_SIDE, flow)]
-    # Responses are relayed to the session's recorded client, sourced
-    # from the proxy's own address (the ingress destination).  The
-    # appliance's session table guarantees that client previously
-    # contacted the proxy (implicit authorization); the model records
-    # the guarantee in the auth_ok annotation.
-    ingress_dst = flow.packet.var(F.IP_DST)
-    flow.write_field(F.IP_SRC, ingress_dst, node)
-    set_fresh(ctx, flow, F.IP_DST, node)
-    ensure_field(ctx, flow, "auth_ok")
-    set_const(ctx, flow, "auth_ok", 1, node)
-    return [(element.CLIENT_SIDE, flow)]
+        if port == client_side:
+            set_const(ctx, flow, F.IP_DST, origin_addr, node)
+            set_const(ctx, flow, F.TP_DST, origin_port, node)
+            return [(origin_side, flow)]
+        # Responses are relayed to the session's recorded client.  The
+        # appliance's session table guarantees that client previously
+        # contacted the proxy (implicit authorization); the model
+        # records the guarantee in the auth_ok annotation.
+        set_fresh(ctx, flow, F.IP_DST, node)
+        ensure_field(ctx, flow, "auth_ok")
+        set_const(ctx, flow, "auth_ok", 1, node)
+        return [(client_side, flow)]
 
-
-@register_model("GeoDNSServer")
-def _model_geodnsserver(ctx, node, port, flow):
-    src = flow.packet.var(F.IP_SRC)
-    dst = flow.packet.var(F.IP_DST)
-    flow.write_field(F.IP_SRC, dst, node)
-    flow.write_field(F.IP_DST, src, node)
-    sport = flow.packet.var(F.TP_SRC)
-    dport = flow.packet.var(F.TP_DST)
-    flow.write_field(F.TP_SRC, dport, node)
-    flow.write_field(F.TP_DST, sport, node)
-    set_fresh(ctx, flow, F.PAYLOAD, node)
-    return [(0, flow)]
-
-
-@register_model("LoadBalancer")
-def _model_loadbalancer(ctx, node, port, flow):
-    # One symbolic branch per backend: the destination is always one
-    # of the configured constants, all of which the security check can
-    # vet against the white-list (like Multicast, but one copy).
-    element = _element(ctx, node)
-    results = []
-    for index, backend in enumerate(element.backends):
-        fork = flow if index == len(element.backends) - 1 else flow.fork()
-        set_const(ctx, fork, F.IP_DST, backend, node)
-        results.append((0, fork))
-    return results
+    return program
 
 
 @register_model("ExplicitProxy")
-def _model_explicitproxy(ctx, node, port, flow):
-    element = _element(ctx, node)
-    # The upstream destination comes from the request payload: it is a
-    # run-time value, modelled as a fresh free variable.
-    set_const(ctx, flow, F.IP_SRC, element.proxy_addr, node)
-    set_fresh(ctx, flow, F.IP_DST, node)
-    return [(0, flow)]
+def _compile_explicitproxy(element):
+    proxy_addr = element.proxy_addr
+
+    def program(ctx, node, port, flow):
+        # The upstream destination comes from the request payload: it
+        # is a run-time value, modelled as a fresh free variable.
+        set_const(ctx, flow, F.IP_SRC, proxy_addr, node)
+        set_fresh(ctx, flow, F.IP_DST, node)
+        return [(0, flow)]
+
+    return program
 
 
-@register_model("X86VM")
-def _model_x86vm(ctx, node, port, flow):
+@register_program("X86VM")
+def _x86vm(ctx, node, port, flow):
     # Arbitrary code: anything can come out.  Every field is redefined
     # to a fresh free variable, so no security rule can ever be proven.
     for field in F.HEADER_FIELDS:
         set_fresh(ctx, flow, field, node)
-    return [(0, flow)]
-
-
-@register_model("RateLimiter")
-def _model_ratelimiter(ctx, node, port, flow):
-    results = [(0, flow)]
-    if ctx.graph.successor(node, 1) is not None:
-        results.append((1, flow.fork()))
-    return results
-
-
-@register_model("Switch")
-def _model_switch(ctx, node, port, flow):
-    element = _element(ctx, node)
-    if element.port < 0:
-        return []
-    return [(element.port, flow)]
-
-
-@register_model("RoundRobinSwitch")
-def _model_roundrobinswitch(ctx, node, port, flow):
-    # The schedule depends on arrival order, which symbolic execution
-    # does not model: any output is possible.
-    outputs = ctx.graph.connected_outputs(node) or [0]
-    results = []
-    for index, out_port in enumerate(outputs):
-        results.append(
-            (out_port, flow if index == len(outputs) - 1
-             else flow.fork())
-        )
-    return results
-
-
-@register_model("Meter")
-def _model_meter(ctx, node, port, flow):
-    # Rates are a run-time property (time is not modelled): both the
-    # conformant and the excess outcome are possible for any packet.
-    results = [(0, flow)]
-    if ctx.graph.successor(node, 1) is not None:
-        results.append((1, flow.fork()))
-    return results
-
-
-@register_model("SetIPTTL")
-def _model_setipttl(ctx, node, port, flow):
-    set_const(ctx, flow, F.IP_TTL, _element(ctx, node).ttl, node)
-    return [(0, flow)]
-
-
-@register_model("SetIPTOS")
-def _model_setiptos(ctx, node, port, flow):
-    set_const(ctx, flow, F.IP_TOS, _element(ctx, node).tos, node)
-    return [(0, flow)]
-
-
-@register_model("ICMPPingResponder")
-def _model_icmppingresponder(ctx, node, port, flow):
-    if not flow.constrain_field(F.IP_PROTO, IntervalSet.single(F.ICMP)):
-        return []
-    src = flow.packet.var(F.IP_SRC)
-    dst = flow.packet.var(F.IP_DST)
-    flow.write_field(F.IP_SRC, dst, node)
-    flow.write_field(F.IP_DST, src, node)
     return [(0, flow)]

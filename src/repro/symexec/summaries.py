@@ -5,18 +5,17 @@ as symbolic transfer functions instead of re-interpreting each element
 on every traversal.  This module brings that idea to the repro in two
 cooperating layers:
 
-**Layer 1 -- transfer-function programs + segment composition**
-(:class:`SummaryCache`).  Every element class gets a *summarizer* that
-compiles one element instance into a transfer function: a closure with
-the element's parsed configuration (filter rules, rewrite patterns,
-constants) pre-bound, byte-for-byte equivalent to the registered model
-but with zero per-call payload derivation.  Programs are cached keyed
-on ``(class name, argument tuple)``, so the hundredth graft of the same
-tenant config reuses the first graft's programs.  Maximal single-wired
-chains of summarizable nodes -- a module's internal pipeline is the
-canonical case -- are *composed* into :class:`SegmentSummary` hop
-tables the engine replays without touching its worklist or the graph's
-edge dict.  Composition preserves the seed engine's DFS order exactly:
+**Layer 1 -- segment composition** (:class:`SummaryCache`).  The
+per-element transfer functions need no cache of their own: every
+element model in :mod:`repro.symexec.models` is a compiler, and each
+element node of a :class:`SymGraph` already runs its *program* -- a
+closure with the element's parsed configuration (filter rules, rewrite
+patterns, constants) bound when the node was added.  The model is its
+own summary.  Maximal single-wired chains of element nodes -- a
+module's internal pipeline is the canonical case -- are *composed*
+into :class:`SegmentSummary` hop tables the engine replays without
+touching its worklist or the graph's edge dict.  Composition preserves
+the seed engine's DFS order exactly:
 each hop continues with the model's **last** output (the one the seed's
 LIFO worklist would pop next) and spills earlier branches back to the
 worklist at their precomputed successor.
@@ -50,7 +49,8 @@ Both layers are **exact**: they change what a verdict costs, never what
 it is.  ``tests/symexec/test_summary_differential.py`` proves verdicts,
 traces and write logs equal to the seed engine byte for byte, and
 :func:`repro.symexec.tuning.seed_mode` bypasses both layers (the engine
-and the controller re-check ``OPT.enabled`` on every use).
+and the controller re-check ``OPT.enabled`` on every use; the element
+programs, which run in both modes, read it on every call).
 """
 
 from __future__ import annotations
@@ -58,18 +58,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
-from repro.common import fields as F
 from repro.common.intervals import IntervalSet
 from repro.symexec.engine import SymGraph
-from repro.symexec.models import (
-    ensure_field,
-    model_for,
-    register_summary,
-    sequential_rules,
-    set_const,
-    set_fresh,
-    summarizer_for,
-)
 
 __all__ = [
     "ChangedScope",
@@ -81,356 +71,6 @@ __all__ = [
     "requirement_address_ranges",
     "witness_footprint",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Element transfer functions (the per-element summaries)
-# ---------------------------------------------------------------------------
-#
-# A summarizer maps one configured element instance to a *program*: a
-# callable with the model signature ``(ctx, node, port, flow) ->
-# [(out_port, flow)]`` whose behavior is identical to the registered
-# model.  Two families:
-#
-# * **specialized** summarizers pre-bind everything the model would
-#   re-derive from the element payload per call (rule lists, rewrite
-#   patterns, constants);
-# * **passthrough** summarizers return the registered model itself --
-#   used for elements with no payload-derived state (identity plumbing,
-#   graph-dependent forks), where the model already *is* its own
-#   transfer function.  Passthrough elements still matter: they make
-#   their node segment-composable.
-
-
-def _passthrough(class_name: str):
-    model = model_for(class_name)
-
-    def summarize(element):
-        return model
-
-    return summarize
-
-
-for _cls in (
-    # Identity plumbing: time, counting and queueing are not modelled.
-    "FromNetfront", "FromDevice", "ToNetfront", "ToDevice",
-    "CheckIPHeader", "Queue", "Unqueue", "TimedUnqueue", "RatedUnqueue",
-    "BandwidthShaper", "Counter", "FlowMeter",
-    # No payload-derived state (drops, graph-dependent forks, swaps).
-    "Discard", "Idle", "Tee", "PaintSwitch", "DecIPTTL", "IPDecap",
-    "DPI", "HTTPOptimizer", "WebCache", "GeoDNSServer", "X86VM",
-    "RateLimiter", "RoundRobinSwitch", "Meter", "ICMPPingResponder",
-):
-    register_summary(_cls)(_passthrough(_cls))
-
-
-@register_summary("Paint")
-def _sum_paint(element):
-    color = element.color
-
-    def program(ctx, node, port, flow):
-        ensure_field(ctx, flow, "paint")
-        set_const(ctx, flow, "paint", color, node)
-        return [(0, flow)]
-
-    return program
-
-
-@register_summary("IPFilter")
-def _sum_ipfilter(element):
-    rules = [(i, spec) for i, (_allowed, spec) in enumerate(element.rules)]
-    allowed_flags = [allowed for allowed, _spec in element.rules]
-
-    def program(ctx, node, port, flow):
-        matched, _unmatched = sequential_rules(flow, rules)
-        results = []
-        for rule_index, fork in matched:
-            if allowed_flags[rule_index]:
-                results.append((0, fork))
-        return results
-
-    return program
-
-
-def _sum_classifier(element):
-    rules = list(enumerate(element.patterns))
-
-    def program(ctx, node, port, flow):
-        matched, _unmatched = sequential_rules(flow, rules)
-        return [(pattern_index, fork) for pattern_index, fork in matched]
-
-    return program
-
-
-register_summary("IPClassifier")(_sum_classifier)
-register_summary("Classifier")(_sum_classifier)
-
-
-@register_summary("IPRewriter")
-def _sum_iprewriter(element):
-    inputs = list(element.inputs)
-
-    def program(ctx, node, port, flow):
-        if port >= len(inputs):
-            return []
-        pattern = inputs[port]
-        if pattern is None:  # `drop` input
-            return []
-        if pattern.src_addr is not None:
-            set_const(ctx, flow, F.IP_SRC, pattern.src_addr, node)
-        if pattern.src_port is not None:
-            low, high = pattern.src_port
-            set_fresh(ctx, flow, F.TP_SRC, node,
-                      IntervalSet.from_interval(low, high))
-        if pattern.dst_addr is not None:
-            set_const(ctx, flow, F.IP_DST, pattern.dst_addr, node)
-        if pattern.dst_port is not None:
-            low, high = pattern.dst_port
-            set_fresh(ctx, flow, F.TP_DST, node,
-                      IntervalSet.from_interval(low, high))
-        return [(pattern.fwd_output, flow)]
-
-    return program
-
-
-def _sum_const_setter(field: str, attr: str):
-    def summarize(element):
-        value = getattr(element, attr)
-
-        def program(ctx, node, port, flow):
-            set_const(ctx, flow, field, value, node)
-            return [(0, flow)]
-
-        return program
-
-    return summarize
-
-
-register_summary("SetIPAddress")(_sum_const_setter(F.IP_DST, "address"))
-register_summary("SetIPSrc")(_sum_const_setter(F.IP_SRC, "address"))
-register_summary("SetTPDst")(_sum_const_setter(F.TP_DST, "port_value"))
-register_summary("SetTPSrc")(_sum_const_setter(F.TP_SRC, "port_value"))
-register_summary("SetIPTTL")(_sum_const_setter(F.IP_TTL, "ttl"))
-register_summary("SetIPTOS")(_sum_const_setter(F.IP_TOS, "tos"))
-
-_ONE = IntervalSet.single(1)
-_FULL_ADDR = IntervalSet.from_interval(0, (1 << 32) - 1)
-_NON_HTTP_PORTS = IntervalSet.from_interval(0, 65535).subtract(
-    IntervalSet.single(80)
-)
-
-
-@register_summary("StatefulFirewall")
-def _sum_statefulfirewall(element):
-    from repro.symexec.models import flows_matching
-
-    allow_spec = element.allow_spec
-    outbound = element.OUTBOUND
-    inbound = element.INBOUND
-
-    def program(ctx, node, port, flow):
-        if port == outbound:
-            results = []
-            for fork in flows_matching(flow, allow_spec):
-                ensure_field(ctx, fork, "firewall_tag")
-                set_const(ctx, fork, "firewall_tag", 1, node)
-                results.append((outbound, fork))
-            return results
-        ensure_field(ctx, flow, "firewall_tag")
-        if not flow.constrain_field("firewall_tag", _ONE):
-            return []
-        return [(inbound, flow)]
-
-    return program
-
-
-@register_summary("IngressFilter")
-def _sum_ingressfilter(element):
-    inbound = element.INBOUND
-    allowed_sources = _FULL_ADDR.subtract(element.protected)
-
-    def program(ctx, node, port, flow):
-        if port == inbound:
-            if not flow.constrain_field(F.IP_SRC, allowed_sources):
-                return []
-        return [(port, flow)]
-
-    return program
-
-
-@register_summary("ChangeEnforcer")
-def _sum_changeenforcer(element):
-    to_module = element.TO_MODULE
-    from_module = element.FROM_MODULE
-
-    def program(ctx, node, port, flow):
-        ensure_field(ctx, flow, "sandboxed")
-        if port == to_module:
-            return [(to_module, flow)]
-        set_const(ctx, flow, "sandboxed", 1, node)
-        return [(from_module, flow)]
-
-    return program
-
-
-@register_summary("IPEncap")
-def _sum_ipencap(element):
-    from repro.symexec.models import _encap_with_writes
-
-    outer = {
-        F.IP_PROTO: element.proto,
-        F.IP_SRC: element.src,
-        F.IP_DST: element.dst,
-    }
-
-    def program(ctx, node, port, flow):
-        _encap_with_writes(ctx, node, flow, outer)
-        return [(0, flow)]
-
-    return program
-
-
-@register_summary("UDPIPEncap")
-def _sum_udpipencap(element):
-    from repro.symexec.models import _encap_with_writes
-
-    outer = {
-        F.IP_PROTO: F.UDP,
-        F.IP_SRC: element.src,
-        F.TP_SRC: element.sport,
-        F.IP_DST: element.dst,
-        F.TP_DST: element.dport,
-    }
-
-    def program(ctx, node, port, flow):
-        _encap_with_writes(ctx, node, flow, outer)
-        return [(0, flow)]
-
-    return program
-
-
-@register_summary("TransparentProxy")
-def _sum_transparentproxy(element):
-    proxy_addr = element.proxy_addr
-    proxy_port = element.proxy_port
-    http = IntervalSet.single(80)
-
-    def program(ctx, node, port, flow):
-        results = []
-        redirected = flow.fork()
-        if redirected.constrain_field(F.TP_DST, http):
-            set_const(ctx, redirected, F.IP_DST, proxy_addr, node)
-            set_const(ctx, redirected, F.TP_DST, proxy_port, node)
-            results.append((0, redirected))
-        passthrough = flow
-        if passthrough.constrain_field(F.TP_DST, _NON_HTTP_PORTS):
-            results.append((0, passthrough))
-        return results
-
-    return program
-
-
-@register_summary("Multicast")
-def _sum_multicast(element):
-    destinations = list(element.destinations)
-    last = len(destinations) - 1
-
-    def program(ctx, node, port, flow):
-        results = []
-        for index, dest in enumerate(destinations):
-            fork = flow if index == last else flow.fork()
-            set_const(ctx, fork, F.IP_DST, dest, node)
-            results.append((0, fork))
-        return results
-
-    return program
-
-
-@register_summary("EchoResponder")
-def _sum_echoresponder(element):
-    udp_only = IntervalSet.single(F.UDP)
-    rewrites_payload = element.response_payload is not None
-
-    def program(ctx, node, port, flow):
-        if not flow.constrain_field(F.IP_PROTO, udp_only):
-            return []
-        src = flow.packet.var(F.IP_SRC)
-        dst = flow.packet.var(F.IP_DST)
-        flow.write_field(F.IP_SRC, dst, node)
-        flow.write_field(F.IP_DST, src, node)
-        sport = flow.packet.var(F.TP_SRC)
-        dport = flow.packet.var(F.TP_DST)
-        flow.write_field(F.TP_SRC, dport, node)
-        flow.write_field(F.TP_DST, sport, node)
-        if rewrites_payload:
-            set_fresh(ctx, flow, F.PAYLOAD, node)
-        return [(0, flow)]
-
-    return program
-
-
-@register_summary("ReverseProxy")
-def _sum_reverseproxy(element):
-    client_side = element.CLIENT_SIDE
-    origin_side = element.ORIGIN_SIDE
-    origin_addr = element.origin_addr
-    origin_port = element.origin_port
-
-    def program(ctx, node, port, flow):
-        if port == client_side:
-            ingress_dst = flow.packet.var(F.IP_DST)
-            flow.write_field(F.IP_SRC, ingress_dst, node)
-            set_const(ctx, flow, F.IP_DST, origin_addr, node)
-            set_const(ctx, flow, F.TP_DST, origin_port, node)
-            return [(origin_side, flow)]
-        ingress_dst = flow.packet.var(F.IP_DST)
-        flow.write_field(F.IP_SRC, ingress_dst, node)
-        set_fresh(ctx, flow, F.IP_DST, node)
-        ensure_field(ctx, flow, "auth_ok")
-        set_const(ctx, flow, "auth_ok", 1, node)
-        return [(client_side, flow)]
-
-    return program
-
-
-@register_summary("LoadBalancer")
-def _sum_loadbalancer(element):
-    backends = list(element.backends)
-    last = len(backends) - 1
-
-    def program(ctx, node, port, flow):
-        results = []
-        for index, backend in enumerate(backends):
-            fork = flow if index == last else flow.fork()
-            set_const(ctx, fork, F.IP_DST, backend, node)
-            results.append((0, fork))
-        return results
-
-    return program
-
-
-@register_summary("ExplicitProxy")
-def _sum_explicitproxy(element):
-    proxy_addr = element.proxy_addr
-
-    def program(ctx, node, port, flow):
-        set_const(ctx, flow, F.IP_SRC, proxy_addr, node)
-        set_fresh(ctx, flow, F.IP_DST, node)
-        return [(0, flow)]
-
-    return program
-
-
-@register_summary("Switch")
-def _sum_switch(element):
-    out_port = element.port
-
-    def program(ctx, node, port, flow):
-        if out_port < 0:
-            return []
-        return [(out_port, flow)]
-
-    return program
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +94,7 @@ class SegmentHop(NamedTuple):
 
 
 class SegmentSummary(NamedTuple):
-    """A maximal single-wired chain of summarizable nodes.
+    """A maximal single-wired chain of element nodes.
 
     The engine replays ``hops`` for one flow at a time: per hop it runs
     the usual arrival bookkeeping, applies the transfer function, spills
@@ -472,7 +112,7 @@ class _GraphTables(NamedTuple):
 
     graph: SymGraph
     version: int
-    #: node -> transfer-function program (summarizable nodes only).
+    #: element node -> the compiled program it runs (``graph.models``).
     programs: Dict[str, Callable]
     #: (node, in_port) -> hop tuple starting there (chain suffixes
     #: included, so mid-chain re-entries compose too).
@@ -480,30 +120,27 @@ class _GraphTables(NamedTuple):
 
 
 class SummaryCache:
-    """Per-controller cache of transfer functions and segment tables.
+    """Per-controller cache of composed segment tables.
 
-    Element programs are cached across graphs keyed on ``(class name,
-    args)`` -- grafting the same tenant config a second time compiles
-    nothing.  The per-graph tables (programs by node + composed
-    segments) are validated against :attr:`SymGraph.version`, which
-    every structural mutation bumps; an unchanged graph revalidates in
-    O(1), and a graph that only gained or lost whole chains since (a
-    module splice or un-splice) is *patched*: the tables follow the
-    nodes :meth:`SymGraph.touched_since` reports instead of being
-    rebuilt.  Touching a node that already has a program rebuilds
-    everything, as any mutation used to.
+    Every element node already runs its compiled model program (the
+    graph compiled it when the node was added); the cache composes
+    those programs into segment chains.  The per-graph tables (programs
+    by element node + composed segments) are validated against
+    :attr:`SymGraph.version`, which every structural mutation bumps; an
+    unchanged graph revalidates in O(1), and a graph that only gained
+    or lost whole chains since (a module splice or un-splice) is
+    *patched*: the tables follow the nodes
+    :meth:`SymGraph.touched_since` reports instead of being rebuilt.
+    Touching a node that already has a program rebuilds everything, as
+    any mutation used to.
     """
 
     def __init__(self):
-        #: (kind, class_name, args[, two_sided]) -> program.
-        self._element_cache: Dict[tuple, Callable] = {}
         self._tables: Optional[_GraphTables] = None
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
         self.patches = 0
-        self.element_hits = 0
-        self.element_misses = 0
         self.segments_composed = 0
         self.hops_composed = 0
         self.nodes_summarized = 0
@@ -544,17 +181,14 @@ class SummaryCache:
             "misses": self.misses,
             "invalidations": self.invalidations,
             "patches": self.patches,
-            "element_hits": self.element_hits,
-            "element_misses": self.element_misses,
             "segments_composed": self.segments_composed,
             "hops_composed": self.hops_composed,
             "nodes_summarized": self.nodes_summarized,
         }
 
     def invalidate(self) -> None:
-        """Drop everything (explicit invalidation, e.g. after in-place
-        surgery on element instances the cache cannot observe)."""
-        self._element_cache.clear()
+        """Drop the tables (explicit invalidation, e.g. after in-place
+        surgery on the graph the cache cannot observe)."""
         self._tables = None
 
     # -- table lookup --------------------------------------------------------
@@ -578,7 +212,6 @@ class SummaryCache:
                 if self._c_patches is not None:
                     self._c_patches.inc()
                 tables = self._tables = tables._replace(version=version)
-                self._evict_unused_programs(tables)
                 return tables
         else:
             self.misses += 1
@@ -587,89 +220,7 @@ class SummaryCache:
         tables = _GraphTables(graph, version, {}, {})
         self._extend(tables, graph.models, graph.edges.items())
         self._tables = tables
-        self._evict_unused_programs(tables)
         return tables
-
-    def _evict_unused_programs(self, tables: _GraphTables) -> None:
-        """Forget element programs no node of ``tables`` runs, once
-        the cache holds more than twice as many as there are nodes --
-        without this it keeps one per tenant address ever seen."""
-        cache = self._element_cache
-        if len(cache) <= 2 * len(tables.programs):
-            return
-        live = set(tables.programs.values())
-        for key in [k for k, program in cache.items()
-                    if program not in live]:
-            del cache[key]
-
-    # -- compilation ---------------------------------------------------------
-    def _element_program(self, element) -> Optional[Callable]:
-        class_name = getattr(element, "class_name", None)
-        if class_name is None:
-            return None
-        summarize = summarizer_for(class_name)
-        if summarize is None:
-            return None
-        key = ("el", class_name, tuple(element.args))
-        program = self._element_cache.get(key)
-        if program is not None:
-            self.element_hits += 1
-            return program
-        self.element_misses += 1
-        program = summarize(element)
-        if program is not None:
-            self._element_cache[key] = program
-        return program
-
-    def _middlebox_program(self, element) -> Optional[Callable]:
-        """Wrap an element summary with the middlebox iface mapping."""
-        class_name = getattr(element, "class_name", None)
-        if class_name is None:
-            return None
-        two_sided = element.n_inputs == 2
-        key = ("mb", class_name, tuple(element.args), two_sided)
-        program = self._element_cache.get(key)
-        if program is not None:
-            self.element_hits += 1
-            return program
-        inner = self._element_program(element)
-        if inner is None:
-            return None
-
-        def program(ctx, node, port, flow):
-            element_port = port if two_sided else 0
-            outputs = inner(ctx, node, element_port, flow)
-            results = []
-            for out_port, out_flow in outputs:
-                if two_sided:
-                    iface = 1 - out_port if out_port in (0, 1) else out_port
-                else:
-                    iface = 1 - port if port in (0, 1) else 0
-                results.append((iface, out_flow))
-            return results
-
-        self._element_cache[key] = program
-        return program
-
-    def _node_program(self, graph: SymGraph, node: str
-                      ) -> Optional[Callable]:
-        """The transfer function for one graph node, if it has one."""
-        model = graph.models[node]
-        payload = graph.payloads.get(node)
-        if getattr(model, "summary_kind", None) == "middlebox":
-            return self._middlebox_program(payload)
-        class_name = getattr(payload, "class_name", None)
-        if class_name is None or summarizer_for(class_name) is None:
-            return None
-        # Only summarize nodes still running the registered model;
-        # custom payloads/models keep the generic path.
-        try:
-            registered = model_for(class_name)
-        except Exception:
-            return None
-        if registered is not model:
-            return None
-        return self._element_program(payload)
 
     def _patch(self, tables: _GraphTables, touched) -> bool:
         """Make ``tables`` follow the touched nodes, or refuse.
@@ -705,19 +256,20 @@ class SummaryCache:
         return True
 
     def _extend(self, tables: _GraphTables, nodes, edges) -> None:
-        """Compile programs for ``nodes`` and compose the segments
-        entered over ``edges`` (``((src, port), (dst, port))`` pairs:
-        every edge of the graph for a full build, the touched nodes'
-        out-edges for a patch -- a chain from a new entry only runs
-        through new nodes, so their out-edges are all it needs)."""
+        """Record the programs of the element nodes among ``nodes`` and
+        compose the segments entered over ``edges`` (``((src, port),
+        (dst, port))`` pairs: every edge of the graph for a full build,
+        the touched nodes' out-edges for a patch -- a chain from a new
+        entry only runs through new nodes, so their out-edges are all it
+        needs)."""
         graph = tables.graph
         programs = tables.programs
         segments = tables.segments
+        models, elements = graph.models, graph.elements
         summarized = 0
         for node in nodes:
-            program = self._node_program(graph, node)
-            if program is not None:
-                programs[node] = program
+            if node in elements:
+                programs[node] = models[node]
                 summarized += 1
         self.nodes_summarized += summarized
 

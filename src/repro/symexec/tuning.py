@@ -10,7 +10,10 @@ plus the process-global counters that make its effect observable.
 Three consumers:
 
 * the engine and the element models read :data:`OPT` on their hot
-  paths (one attribute load) and bump its counters,
+  paths (one attribute load) and bump its counters.  A model's program
+  is compiled once, when its element joins a graph, and reads the flag
+  each time it runs -- never at compile time -- so a graph built in
+  one mode explores in the other exactly as a graph built there would,
 * :func:`seed_mode` lets the differential tests and the
   ``symexec_speedup_check`` benchmark run the byte-identical
   pre-optimization engine for comparison,
@@ -79,7 +82,11 @@ def optimizations_enabled() -> bool:
 def seed_mode() -> Iterator[None]:
     """Run the byte-identical pre-optimization engine inside the block.
 
-    Every layer's toggle is flipped off on entry and restored on exit.
+    Every layer's toggle is flipped off on entry and restored on exit:
+    no segment replay, copy-on-write forking, interval interning or
+    branch pruning.  Element nodes still run their compiled model
+    programs -- a program is the element's one symbolic description,
+    not an optimization layer.
     Used by the differential tests ("optimized == seed, bit for bit")
     and as the baseline side of ``benchmarks/symexec_speedup_check.py``.
     """

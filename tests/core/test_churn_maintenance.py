@@ -386,7 +386,6 @@ class TestRetention:
             return {
                 "journal": len(subject.journal.records),
                 "client_addresses": len(subject.client_addresses),
-                "element_cache": len(subject._summaries._element_cache),
                 "remote_keys": len(cache._remote_keys),
                 "graph_nodes": len(subject._ensure_compiled().graph.models),
             }

@@ -206,6 +206,7 @@ def test_a_crash_mid_verification_recovers_the_state_before(
     recovered = Controller.recover(network, journal)
     assert controller_state_digest(recovered) == before
     assert journal.pending_intents() == []
+    assert collect_violations(recovered) == []
 
 
 class TestNoPhantomIntents:

@@ -1,10 +1,9 @@
 """Unit tests for the summary tier (repro.symexec.summaries).
 
-Covers the three caches the tier is made of: per-element transfer
-functions (keyed on class + args, shared across graphs), the per-graph
-program/segment tables (validated in O(1) against
-:attr:`SymGraph.version`), and the composition rules that decide which
-chains may be replayed.
+Covers the per-graph program/segment tables (validated in O(1) against
+:attr:`SymGraph.version`, patched across a splice) and the composition
+rules that decide which chains may be replayed.  The element programs
+the tables compose are covered by ``test_compiled_models.py``.
 """
 
 import pytest
@@ -12,18 +11,12 @@ import pytest
 from repro.click import parse_config
 from repro.click.element import create_element
 from repro.netmodel.examples import figure3_network
-from repro.netmodel.symgraph import (
-    NetworkCompiler,
-    _middlebox_model_factory,
-)
+from repro.netmodel.symgraph import NetworkCompiler
 from repro.symexec import (
     SummaryCache,
     SymbolicEngine,
     SymGraph,
     model_for,
-    models_registry,
-    summarizer_for,
-    summarizers_registry,
 )
 from repro.symexec.tuning import seed_mode
 
@@ -38,56 +31,6 @@ PIPELINE = """
 
 def pipeline_graph():
     return SymGraph.from_click(parse_config(PIPELINE))
-
-
-class TestRegistry:
-    def test_every_model_has_a_summarizer(self):
-        # Summaries must keep up with the element registry: a new model
-        # without a summarizer silently falls off the fast path.
-        assert set(summarizers_registry()) == set(models_registry())
-
-    def test_passthrough_summarizer_returns_the_model(self):
-        element = create_element("Counter", "c", [])
-        assert summarizer_for("Counter")(element) is model_for("Counter")
-
-    def test_specialized_summarizer_is_config_bound(self):
-        element = create_element("Paint", "p", ["2"])
-        program = summarizer_for("Paint")(element)
-        assert program is not model_for("Paint")
-        assert callable(program)
-
-    def test_middlebox_factory_is_tagged(self):
-        element = create_element("Counter", "c", [])
-        model = _middlebox_model_factory(element)
-        assert model.summary_kind == "middlebox"
-
-
-class TestElementProgramCache:
-    def test_same_config_shares_one_program(self):
-        cache = SummaryCache()
-        a = create_element("IPFilter", "a", ["allow udp port 53"])
-        b = create_element("IPFilter", "b", ["allow udp port 53"])
-        first = cache._element_program(a)
-        second = cache._element_program(b)
-        assert first is second
-        assert cache.element_hits == 1
-        assert cache.element_misses == 1
-
-    def test_different_config_compiles_separately(self):
-        cache = SummaryCache()
-        a = create_element("IPFilter", "a", ["allow udp port 53"])
-        b = create_element("IPFilter", "b", ["allow tcp port 80"])
-        assert cache._element_program(a) is not cache._element_program(b)
-        assert cache.element_misses == 2
-
-    def test_cache_survives_across_graphs(self):
-        cache = SummaryCache()
-        cache.tables_for(pipeline_graph())
-        misses_after_first = cache.element_misses
-        cache.tables_for(pipeline_graph())
-        # Second graph: new tables, but every program re-used.
-        assert cache.element_misses == misses_after_first
-        assert cache.element_hits > 0
 
 
 class TestGraphTables:
@@ -227,11 +170,12 @@ class TestTablesFollowASplice:
             SummaryCache().tables_for(graph)
         )
 
-    def test_element_programs_of_departed_tenants_are_forgotten(self):
+    def test_departed_tenants_leave_no_programs(self):
         net = figure3_network()
         compiled = NetworkCompiler(net).compile()
         platform = net.platforms()[0]
         cache = SummaryCache()
+        residents = set(cache.tables_for(compiled.graph).programs)
         for tenant in range(200):
             config = parse_config(
                 PIPELINE.replace("10.0.0.9", "10.0.%d.9" % tenant)
@@ -243,10 +187,8 @@ class TestTablesFollowASplice:
             compiled.unsplice("trial")
             platform.undeploy("trial")
             platform.release_address(address)
-        live = len(cache.tables_for(compiled.graph).programs)
-        assert len(cache._element_cache) <= 2 * (
-            live + len(config.elements)
-        )
+        assert set(cache.tables_for(compiled.graph).programs) == residents
+        assert compiled.graph.elements == residents
 
 
 class TestSegmentComposition:
