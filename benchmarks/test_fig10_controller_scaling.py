@@ -8,18 +8,31 @@ dominating.  SYMNET checks a 1,000-box network in ~1.3 s.
 Our absolute times are faster (no Haskell toolchain -- model
 construction is Python object instantiation), but the *shape* is the
 claim: both phases must grow linearly.
+
+Section 4.3 re-verifies the whole snapshot at every change, so the
+operator's own operations must scale the same way: the operator-side
+sweep times a full re-verification and a one-line policy edit on a
+star of 25..200 platforms (one requirement per platform) and asserts
+linearity on counted work, never on time.
 """
 
+import math
 import time
 
 from _report import fmt, print_table
+from repro.common.intervals import IntervalSet
 from repro.core import ClientRequest, Controller, ROLE_CLIENT
-from repro.netmodel.examples import figure3_network, linear_network
+from repro.core import controller as controller_module
+from repro.netmodel import topology
+from repro.netmodel.examples import (
+    figure3_network, linear_network, star_network,
+)
 from repro.netmodel.symgraph import NetworkCompiler
-from repro.policy import parse_requirement
+from repro.policy import grammar, parse_requirement
 from repro.symexec.reachability import ReachabilityChecker
 
 SIZES = (1, 3, 7, 15, 31, 63, 127, 255, 511)
+PLATFORMS = (25, 50, 100, 200)
 
 
 def measure_one(n_middleboxes):
@@ -168,3 +181,120 @@ def test_fig10_admission_fast_path_cold_vs_warm(benchmark):
     # Decisions themselves are unchanged by the cache.
     assert warm.platform == cold.platform
     assert warm.sandboxed == cold.sandboxed
+
+
+def _star_policy(platforms):
+    return [
+        "reach from internet udp dst net 192.0.%d.0/24 -> platform%d"
+        % (index + 1, index)
+        for index in range(platforms)
+    ]
+
+
+def _count_calls(monkeypatch, counts):
+    """Count the per-requirement work a quadratic operator path does:
+    ownership reads, interval intersections (one per router branch
+    test) and statement parses."""
+
+    def counting(owner, name, label, original=None):
+        original = original or owner.__dict__[name]
+
+        def counted(*args, **kwargs):
+            counts[label] = counts.get(label, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted, raising=False)
+
+    for cls in (topology.Node, topology.Host, topology.ClientSubnet,
+                topology.Internet, topology.Platform):
+        if "owned_addresses" in cls.__dict__:
+            counting(cls, "owned_addresses", "owned")
+    counting(IntervalSet, "intersect", "intersect")
+    parse = grammar.parse_requirement
+    for module in (grammar, controller_module):
+        counting(module, "parse_requirement", "parsed", original=parse)
+
+
+def measure_operator(platforms, counts=None, repeat=3):
+    """``(full_verify_s, edit_s, work)`` on a primed star, best of
+    ``repeat``.  With ``counts`` (the dict :func:`_count_calls` fills),
+    ``work`` holds what the last full verify and edit did."""
+    lines = _star_policy(platforms)
+    controller = Controller(star_network(platforms), "\n".join(lines))
+    assert all(controller.verify_snapshot())
+    full_s = edit_s = float("inf")
+    work = {}
+    for _round in range(repeat):
+        if counts is not None:
+            counts.clear()
+        started = time.perf_counter()
+        controller.invalidate_model_cache()
+        results = controller.verify_snapshot()
+        full_s = min(full_s, time.perf_counter() - started)
+        assert len(results) == platforms and all(results)
+        if counts is not None:
+            work["full"] = dict(counts)
+        controller.set_operator_requirements("\n".join(lines[1:]))
+        controller.verify_snapshot()
+        if counts is not None:
+            counts.clear()
+        started = time.perf_counter()
+        controller.set_operator_requirements("\n".join(lines))
+        assert all(controller.verify_snapshot())
+        edit_s = min(edit_s, time.perf_counter() - started)
+        if counts is not None:
+            work["edit"] = dict(counts)
+    return full_s, edit_s, work
+
+
+def _slope(xs, ys):
+    """Least-squares slope of log(y) on log(x): 1 is linear."""
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(y) for y in ys]
+    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+    return sum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sum(
+        (a - mx) ** 2 for a in lx)
+
+
+def test_fig10_operator_side_scaling(benchmark, monkeypatch, capsys):
+    """The operator's re-verification is linear in platforms, and a
+    one-line policy edit parses one statement.
+    """
+
+    def sweep_operator():
+        return {p: measure_operator(p)[:2] for p in PLATFORMS}
+
+    timings = benchmark.pedantic(sweep_operator, rounds=3, iterations=1)
+    counts = {}
+    _count_calls(monkeypatch, counts)
+    work = {p: measure_operator(p, counts, repeat=1)[2] for p in PLATFORMS}
+    full_slope = _slope(PLATFORMS, [timings[p][0] for p in PLATFORMS])
+    edit_slope = _slope(PLATFORMS, [timings[p][1] for p in PLATFORMS])
+    test_slope = _slope(
+        PLATFORMS, [work[p]["full"]["intersect"] for p in PLATFORMS])
+    rows = [
+        (p, fmt(timings[p][0] * 1e3, 2), fmt(timings[p][1] * 1e3, 2),
+         work[p]["full"]["intersect"], work[p]["full"]["owned"],
+         work[p]["edit"].get("parsed", 0))
+        for p in PLATFORMS
+    ]
+    # Printed past the capture so every benchmark run logs the slope.
+    with capsys.disabled():
+        print_table(
+            "Figure 10, operator side: re-verification vs #platforms",
+            ("platforms", "full verify (ms)", "edit (ms)",
+             "branch tests", "ownership reads", "edit parses"),
+            rows,
+            note="log-log slope (1 = linear): full verify %.2f, edit "
+                 "%.2f, branch tests %.2f.  Star topology, one "
+                 "requirement per platform; the edit retracts and "
+                 "restores one line." % (full_slope, edit_slope,
+                                         test_slope),
+        )
+    for label in ("intersect", "owned"):
+        series = [work[p]["full"][label] for p in PLATFORMS]
+        for smaller, larger in zip(series, series[1:]):
+            # Doubling the platforms at most doubles the work (plus
+            # the fixed nodes); per-requirement O(P) would quadruple it.
+            assert larger / smaller <= 2.2, (label, series)
+    assert all(work[p]["edit"].get("parsed", 0) == 1 for p in PLATFORMS)

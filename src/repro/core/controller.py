@@ -57,7 +57,8 @@ from repro.netmodel.symgraph import CompiledNetwork, NetworkCompiler
 from repro.netmodel.topology import Network, Platform
 from repro.policy.grammar import (
     Hop, KIND_ELEMENT, KIND_NAME, MODULE_PLACEHOLDER, NodeRef,
-    ReachRequirement, parse_requirements,
+    ReachRequirement, parse_requirement, parse_requirements,
+    split_statements,
 )
 from repro.symexec.reachability import ReachabilityChecker, ReachResult
 from repro.symexec.summaries import (
@@ -816,9 +817,17 @@ class Controller:
         only requirements that are new or whose footprint segments
         changed.  Entries for dropped operator rules are pruned (their
         module-owned ``$module`` instantiations expire lazily through
-        token validation).
+        token validation).  A statement already in the policy (same
+        whitespace-normalised text) keeps its parsed, frozen
+        requirement, so an edit parses only the lines it adds or
+        changes.  A malformed statement raises :class:`PolicyError`
+        and changes nothing.
         """
-        self.operator_requirements = parse_requirements(text) if text else []
+        known = {req.source: req for req in self.operator_requirements}
+        self.operator_requirements = [
+            known.get(statement) or parse_requirement(statement)
+            for statement in split_statements(text or "")
+        ]
         self._verification.prune_operator(frozenset(
             str(req) for req in self.operator_requirements))
 

@@ -9,6 +9,7 @@ semantics expressed as interval arithmetic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, NamedTuple, Optional, Tuple
 
 from repro.common.addr import format_prefix, prefix_range
@@ -40,6 +41,11 @@ class RoutingTable:
         #: Memoized ``symbolic_split`` result for ``_version``.
         self._split_cache: Optional[
             Tuple[int, List[Tuple[int, IntervalSet]]]
+        ] = None
+        #: ``(version, lows, highs, branch indices)`` of every split
+        #: interval, sorted: :meth:`overlapping`'s index.
+        self._index_cache: Optional[
+            Tuple[int, List[int], List[int], List[int]]
         ] = None
         for route in routes or []:
             self.add(route.network, route.plen, route.out_port)
@@ -95,6 +101,42 @@ class RoutingTable:
         if OPT.enabled:
             self._split_cache = (self._version, branches)
         return branches
+
+    def overlapping(self, domain: IntervalSet) -> List[int]:
+        """Ascending indices of the :meth:`symbolic_split` branches
+        whose destination set meets ``domain``.
+
+        Equal to testing ``domain`` against every branch, at the cost
+        of the overlaps found: the branches are disjoint, so their
+        intervals sorted by low end are sorted by high end too, and one
+        bisection per ``domain`` interval finds the first candidate.
+        The index is built on first use per ``_version``, beside the
+        split it is drawn from.
+        """
+        cached = self._index_cache
+        if cached is None or cached[0] != self._version:
+            spans = sorted(
+                (low, high, index)
+                for index, (_port, allowed) in enumerate(
+                    self.symbolic_split()
+                )
+                for low, high in allowed.intervals
+            )
+            cached = self._index_cache = (
+                self._version,
+                [low for low, _high, _index in spans],
+                [high for _low, high, _index in spans],
+                [index for _low, _high, index in spans],
+            )
+        _version, lows, highs, owners = cached
+        hits = set()
+        end = len(lows)
+        for low, high in domain.intervals:
+            at = bisect_left(highs, low)
+            while at < end and lows[at] <= high:
+                hits.add(owners[at])
+                at += 1
+        return sorted(hits)
 
     def __len__(self) -> int:
         return len(self.routes)

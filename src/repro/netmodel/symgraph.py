@@ -63,6 +63,15 @@ from repro.symexec.tuning import OPT
 MODULE_INGRESS_BASE = 1 << 32
 MODULE_EGRESS_BASE = 2 << 32
 
+#: Router splits with at least this many branches (a hub router) find
+#: the branches a flow can take with :meth:`RoutingTable.overlapping`
+#: instead of testing each one.  The index costs a build per table
+#: version, so it pays only on wide splits: timed against the loop on a
+#: 2-core x86 VM with as few as two arrivals per table version, it wins
+#: from 16 branches (0.84x the loop's time), breaks even at 8-12 and
+#: loses below; the admission workloads' routers have 2-4 branches.
+WIDE_SPLIT = 16
+
 
 def _endpoint_model(ctx, node, port, flow):
     # Endpoints are sinks; the engine never calls their model.
@@ -96,6 +105,23 @@ def _router_model(ctx, node, port, flow):
             # the interval result cache.
             current = flow.domain(variable)
             last = len(branches) - 1
+            if len(branches) >= WIDE_SPLIT:
+                # Visit only the fork branches the split's index says
+                # overlap; the others are exactly the ones the test
+                # below would prune.
+                visit = table.overlapping(current)
+                if visit and visit[-1] == last:
+                    visit.pop()
+                OPT.prunes += last - len(visit)
+                for index in visit:
+                    out_port, allowed = branches[index]
+                    target = flow.fork()
+                    if target.constrain(variable, allowed):
+                        results.append((out_port, target))
+                out_port, allowed = branches[last]
+                if flow.constrain(variable, allowed):
+                    results.append((out_port, flow))
+                return results
             for index, (out_port, allowed) in enumerate(branches):
                 if index < last and (
                     current.intersect(allowed).is_empty()
@@ -294,6 +320,20 @@ def _platform_model(ctx, node, port, flow):
     return results
 
 
+class _Topology(NamedTuple):
+    """What requirement resolution asks of a snapshot's topology."""
+
+    internet: Tuple[str, ...]
+    #: (name, owned addresses) per client subnet.
+    clients: Tuple[Tuple[str, IntervalSet], ...]
+    #: (name, owned addresses) per host and client subnet.
+    endpoints: Tuple[Tuple[str, IntervalSet], ...]
+    #: (name, pool) per platform.
+    platforms: Tuple[Tuple[str, IntervalSet], ...]
+    #: Every address owned inside the operator's network.
+    internal: IntervalSet
+
+
 class CompiledNetwork:
     """A symbolic graph for one network snapshot, plus its resolvers.
 
@@ -304,6 +344,12 @@ class CompiledNetwork:
     recompiling the residents.  A spliced model explores exactly like
     a from-scratch compile of the same snapshot -- pseudo-ports
     included, since a module's slot is its address.
+
+    The topology facts requirement resolution needs (who is internet,
+    client, endpoint or platform, and what they own) are gathered once
+    per compiled network: any node, link or ownership change moves
+    :meth:`Network.model_signature`, which makes the owner compile a
+    new one, and a splice only adds modules inside a platform's pool.
     """
 
     def __init__(self, network: Network, graph: SymGraph):
@@ -313,6 +359,7 @@ class CompiledNetwork:
         self.modules: Dict[str, Tuple[str, int, object]] = {}
         #: module name -> the graph nodes its splice added.
         self._spliced: Dict[str, List[str]] = {}
+        self._topology_facts: Optional[_Topology] = None
 
     # -- incremental updates ------------------------------------------------
     def splice(
@@ -395,14 +442,37 @@ class CompiledNetwork:
         """A fresh symbolic engine over the compiled graph."""
         return SymbolicEngine(self.graph, **kwargs)
 
+    # -- topology -----------------------------------------------------------
+    def _topology(self) -> _Topology:
+        facts = self._topology_facts
+        if facts is None:
+            internet, clients, endpoints, platforms = [], [], [], []
+            internal = IntervalSet.empty()
+            for node in self.network.nodes.values():
+                owned = node.owned_addresses()
+                internal = internal.union(owned)
+                if isinstance(node, Internet):
+                    internet.append(node.name)
+                elif isinstance(node, Platform):
+                    platforms.append((node.name, owned))
+                elif isinstance(node, (Host, ClientSubnet)):
+                    endpoints.append((node.name, owned))
+                    if isinstance(node, ClientSubnet):
+                        clients.append((node.name, owned))
+            facts = self._topology_facts = _Topology(
+                tuple(internet), tuple(clients), tuple(endpoints),
+                tuple(platforms), internal,
+            )
+        return facts
+
     # -- resolver ----------------------------------------------------------
     def resolver(self, ref: NodeRef) -> Callable[[TraceEntry], bool]:
         """Map a requirement node reference to a trace-entry matcher."""
         if ref.kind == KIND_INTERNET:
-            names = {n.name for n in self.network.internet_nodes()}
+            names = set(self._topology().internet)
             return lambda entry: entry.node in names
         if ref.kind == KIND_CLIENT:
-            names = {n.name for n in self.network.client_subnets()}
+            names = {name for name, _owned in self._topology().clients}
             return lambda entry: entry.node in names
         if ref.kind == KIND_NAME:
             if ref.name not in self.network.nodes:
@@ -433,25 +503,18 @@ class CompiledNetwork:
             if address in wanted:
                 for element in config.sources():
                     names.add("%s/%s" % (module_name, element))
-        for node in self.network.nodes.values():
-            if isinstance(node, (Host, ClientSubnet)):
-                if node.owned_addresses().overlaps(wanted):
-                    names.add(node.name)
+        topology = self._topology()
+        for name, owned in topology.endpoints:
+            if owned.overlaps(wanted):
+                names.add(name)
         if not names:
             # Fall back to any platform owning part of the range.
-            for platform in self.network.platforms():
-                if platform.owned_addresses().overlaps(wanted):
-                    names.add(platform.name)
+            for name, owned in topology.platforms:
+                if owned.overlaps(wanted):
+                    names.add(name)
         return lambda entry: entry.node in names
 
     # -- injection -----------------------------------------------------------
-    def internal_addresses(self) -> IntervalSet:
-        """Every address owned inside the operator's network."""
-        owned = IntervalSet.empty()
-        for node in self.network.nodes.values():
-            owned = owned.union(node.owned_addresses())
-        return owned
-
     def injection_points(
         self, ref: NodeRef
     ) -> List[Tuple[str, Optional[IntervalSet]]]:
@@ -464,34 +527,26 @@ class CompiledNetwork:
         never enter from outside.
         """
         points: List[Tuple[str, Optional[IntervalSet]]] = []
+        topology = self._topology()
         if ref.kind == KIND_INTERNET:
             outside = IntervalSet.from_interval(
                 0, (1 << 32) - 1
-            ).subtract(self.internal_addresses())
-            points = [
-                (n.name, outside) for n in self.network.internet_nodes()
-            ]
+            ).subtract(topology.internal)
+            points = [(name, outside) for name in topology.internet]
         elif ref.kind == KIND_CLIENT:
-            points = [
-                (n.name, n.owned_addresses())
-                for n in self.network.client_subnets()
-            ]
+            points = list(topology.clients)
         elif ref.kind == KIND_ADDRESS:
             network_addr, plen = ref.prefix
             from repro.common.addr import prefix_range
 
             low, high = prefix_range(network_addr, plen)
             wanted = IntervalSet.from_interval(low, high)
-            for node in self.network.nodes.values():
-                if isinstance(node, (Host, ClientSubnet)):
-                    if node.owned_addresses().overlaps(wanted):
-                        points.append((node.name, wanted))
+            for name, owned in topology.endpoints:
+                if owned.overlaps(wanted):
+                    points.append((name, wanted))
             if not points:
                 # Unowned addresses originate in the internet.
-                points = [
-                    (n.name, wanted)
-                    for n in self.network.internet_nodes()
-                ]
+                points = [(name, wanted) for name in topology.internet]
         elif ref.kind == KIND_NAME:
             points = [(ref.name, None)]
         elif ref.kind == KIND_ELEMENT:

@@ -30,6 +30,7 @@ from repro.policy.grammar import (
     ReachRequirement,
     parse_requirement,
     parse_requirements,
+    split_statements,
 )
 
 __all__ = [
@@ -43,4 +44,5 @@ __all__ = [
     "NodeRef",
     "parse_requirement",
     "parse_requirements",
+    "split_statements",
 ]

@@ -235,26 +235,36 @@ def parse_requirement(text: str) -> ReachRequirement:
     )
 
 
-def parse_requirements(text: str) -> List[ReachRequirement]:
-    """Parse a block of newline-separated reach statements.
+def split_statements(text: str) -> List[str]:
+    """Split a policy block into normalised statement texts.
 
-    Statements may span multiple lines; a new statement starts whenever a
-    line begins with ``reach``.  Blank lines and ``#`` comments are
-    ignored.
+    Statements may span multiple lines; a new statement starts whenever
+    a line begins with ``reach``, ``isolate`` or ``always``.  Blank
+    lines and ``#`` comments are ignored.  Each statement comes back
+    with its whitespace collapsed, which is exactly the
+    :attr:`ReachRequirement.source` its parse carries.
+
+    >>> split_statements('''
+    ...     # two statements
+    ...     reach from internet
+    ...         -> client
+    ...     isolate  from client -> internet''')
+    ['reach from internet -> client', 'isolate from client -> internet']
     """
-    statements: List[str] = []
-    current: List[str] = []
+    statements: List[List[str]] = []
     for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        words = line.split()
+        if not words or words[0].startswith("#"):
             continue
-        if (
-            stripped.startswith(("reach", "isolate", "always"))
-            and current
+        if not statements or words[0].startswith(
+            (MODE_REACH, MODE_ISOLATE, MODE_ALWAYS)
         ):
-            statements.append(" ".join(current))
-            current = []
-        current.append(stripped)
-    if current:
-        statements.append(" ".join(current))
-    return [parse_requirement(s) for s in statements]
+            statements.append([])
+        statements[-1].extend(words)
+    return [" ".join(words) for words in statements]
+
+
+def parse_requirements(text: str) -> List[ReachRequirement]:
+    """Parse a block of reach / isolate / always statements (cut as
+    :func:`split_statements` cuts them)."""
+    return [parse_requirement(s) for s in split_statements(text)]

@@ -18,6 +18,7 @@ flows stays proportional to real forwarding alternatives.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from typing import (
     Callable, Deque, Dict, List, NamedTuple, Optional, Set, Tuple,
@@ -254,6 +255,8 @@ class SymGraph:
         self.models: Dict[str, NodeModel] = {}
         self.sinks: Dict[str, bool] = {}
         self.edges: Dict[Tuple[str, int], Tuple[str, int]] = {}
+        #: node -> its wired output ports, ascending (``edges`` by source).
+        self._outputs: Dict[str, List[int]] = {}
         #: Opaque per-node payloads models may consult (element instance,
         #: routing table, ...).
         self.payloads: Dict[str, object] = {}
@@ -327,6 +330,8 @@ class SymGraph:
                 raise VerificationError("edge references unknown %r" % name)
         rewired = self.edges.get((src, src_port))
         self.edges[(src, src_port)] = (dst, dst_port)
+        if rewired is None:
+            insort(self._outputs.setdefault(src, []), src_port)
         version = self.version = self.version + 1
         touch = self._touch_log.append
         touch((version, src))
@@ -355,8 +360,13 @@ class SymGraph:
             if key[0] in gone or dst[0] in gone
         ]
         touched = set(gone)
+        outputs = self._outputs
+        for name in gone:
+            outputs.pop(name, None)
         for key, dst in stale:
             del self.edges[key]
+            if key[0] not in gone:
+                outputs[key[0]].remove(key[1])
             touched.add(key[0])
             touched.add(dst[0])
         self.version += 1
@@ -369,8 +379,8 @@ class SymGraph:
         return self.edges.get((node, port))
 
     def connected_outputs(self, node: str) -> List[int]:
-        """The wired output ports of ``node``."""
-        return sorted(p for (n, p) in self.edges if n == node)
+        """The wired output ports of ``node``, ascending."""
+        return list(self._outputs.get(node, ()))
 
     @classmethod
     def from_click(cls, config, namespace: str = "") -> "SymGraph":

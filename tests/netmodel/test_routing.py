@@ -1,9 +1,12 @@
 """Tests for LPM routing tables."""
 
+import random
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.addr import parse_ip, prefix_range
+from repro.common.intervals import IntervalSet
 from repro.netmodel.routing import Route, RoutingTable
 
 
@@ -79,3 +82,98 @@ class TestSymbolicSplit:
             assert hits == []
         else:
             assert hits == [expected]
+
+
+def random_prefix(rng):
+    """A /16../28 inside 10.0.0.0/16."""
+    plen = rng.randrange(16, 29)
+    network = (10 << 24) | rng.getrandbits(16)
+    return network & ~((1 << (32 - plen)) - 1), plen
+
+
+def random_table(rng):
+    """Routes inside 10.0.0.0/16 with overlaps, duplicates (fully
+    shadowed routes) and holes, so branches span several intervals."""
+    t = RoutingTable()
+    for port in range(rng.randrange(1, 40)):
+        network, plen = random_prefix(rng)
+        t.add(network, plen, port)
+        if rng.random() < 0.2:
+            t.add(network, plen, port + 100)  # shadowed by its twin
+    if rng.random() < 0.5:
+        t.add(0, 0, 999)
+    return t
+
+
+def random_domain(rng):
+    intervals = []
+    for _ in range(rng.randrange(1, 4)):
+        low = (10 << 24) + rng.getrandbits(16) - 2000
+        intervals.append((low, low + rng.choice((0, 7, 300, 5000))))
+    return IntervalSet(intervals)
+
+
+class TestOverlappingIndex:
+    """``overlapping`` against the linear scan it replaces."""
+
+    def reference(self, t, domain):
+        return [
+            index for index, (_port, allowed)
+            in enumerate(t.symbolic_split())
+            if not domain.intersect(allowed).is_empty()
+        ]
+
+    def test_matches_linear_scan_on_random_tables(self):
+        rng = random.Random(7)
+        shadowed = multi_interval = 0
+        for _trial in range(150):
+            t = random_table(rng)
+            branches = t.symbolic_split()
+            shadowed += len(t.routes) - len(branches)
+            multi_interval += sum(
+                len(allowed.intervals) > 1 for _port, allowed in branches)
+            for _query in range(8):
+                domain = random_domain(rng)
+                assert t.overlapping(domain) == self.reference(t, domain)
+        # The sample really has the awkward cases.
+        assert shadowed > 0 and multi_interval > 0
+
+    def test_follows_table_mutations(self):
+        rng = random.Random(11)
+        t = random_table(rng)
+        for _step in range(40):
+            if rng.random() < 0.7 or not t.routes:
+                network, plen = random_prefix(rng)
+                t.add(network, plen, rng.randrange(8))
+            else:
+                t.remove_port(rng.choice(t.routes).out_port)
+            domain = random_domain(rng)
+            assert t.overlapping(domain) == self.reference(t, domain)
+
+    def test_empty_table_and_domain(self):
+        assert RoutingTable().overlapping(IntervalSet.single(5)) == []
+        t = table(("10.0.0.0/8", 1), ("0.0.0.0/0", 2))
+        assert t.overlapping(IntervalSet.empty()) == []
+        assert t.overlapping(IntervalSet.from_interval(0, 2 ** 32 - 1)) \
+            == [0, 1]
+
+    def test_seed_mode_never_builds_the_index(self):
+        from repro.core import Controller
+        from repro.netmodel.examples import star_network
+        from repro.netmodel.symgraph import WIDE_SPLIT
+        from repro.symexec.tuning import seed_mode
+
+        policy = "\n".join(
+            "reach from internet udp dst net 192.0.%d.0/24 -> platform%d"
+            % (index + 1, index) for index in range(WIDE_SPLIT)
+        )
+        with seed_mode():
+            controller = Controller(star_network(WIDE_SPLIT), policy)
+            assert all(controller.verify_snapshot())
+            hub = controller.network.node("r0").table
+            assert len(hub.symbolic_split()) >= WIDE_SPLIT
+            assert hub._index_cache is None
+        # The same verification with the fast path on is what uses it.
+        controller = Controller(star_network(WIDE_SPLIT), policy)
+        assert all(controller.verify_snapshot())
+        assert controller.network.node("r0").table._index_cache is not None

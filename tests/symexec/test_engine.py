@@ -1,5 +1,7 @@
 """Tests for the symbolic exploration engine."""
 
+import random
+
 import pytest
 
 from repro.click import parse_config
@@ -154,6 +156,46 @@ class TestInjectDeparture:
         eng = SymbolicEngine(graph)
         ex = eng.inject_departure("lonely")
         assert len(ex.dropped) == 1
+
+
+class TestConnectedOutputs:
+    """``connected_outputs`` against the scan over every edge that it
+    replaced."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_edge_scan_under_random_rewiring(self, seed):
+        rng = random.Random(seed)
+        graph = SymGraph()
+        names = ["n%d" % index for index in range(8)]
+        for name in names:
+            graph.add_node(name, lambda ctx, n, p, f: [])
+        live = list(names)
+        for _step in range(300):
+            move = rng.random()
+            if move < 0.75 and len(live) >= 2:
+                # A new edge, or a rewire when the port is wired.
+                graph.connect(rng.choice(live), rng.randrange(6),
+                              rng.choice(live), rng.randrange(3))
+            elif move < 0.9 and live:
+                gone = rng.sample(live, min(rng.randrange(1, 4), len(live)))
+                graph.remove_nodes(gone)
+                live = [name for name in live if name not in gone]
+            else:
+                name = rng.choice(names)
+                if name not in graph.models:
+                    graph.add_node(name, lambda ctx, n, p, f: [])
+                    live.append(name)
+            for name in names:
+                assert graph.connected_outputs(name) == sorted(
+                    port for (node, port) in graph.edges if node == name)
+
+    def test_result_is_a_copy(self):
+        graph = SymGraph()
+        graph.add_node("a", lambda ctx, n, p, f: [])
+        graph.add_node("b", lambda ctx, n, p, f: [])
+        graph.connect("a", 1, "b", 0)
+        graph.connected_outputs("a").append(7)
+        assert graph.connected_outputs("a") == [1]
 
 
 class TestFlowSpecInterop:
