@@ -13,8 +13,7 @@ Sharding wins because the per-admission cost is linear in the *shard's*
 resident count, not the federation's: N shards each carry R/N
 residents, so admissions get ~N times cheaper while running in
 parallel.  The modeled parallel wall-clock charges each shard its own
-busy time and the federation the slowest shard (the
-:class:`~repro.core.cluster.ControllerPool` convention).
+busy time and the federation the slowest shard.
 
 Gate (run via ``python benchmarks/test_controller_federation.py``):
 median admission throughput at 4 shards must be >= 2x the 1-shard

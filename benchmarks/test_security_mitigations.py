@@ -32,49 +32,3 @@ def test_amplification_mitigations(benchmark):
     assert by_label["UDP, ingress filtering"] == 0
     assert by_label["TCP only (connectionless banned)"] == 0
 
-
-def test_controller_pool_scaling(benchmark):
-    """Section 4.3: parallelizing the controller.
-
-    Sixteen tenants' requests sharded over four workers: per-client
-    ordering holds, and the modeled wall-clock beats one controller.
-    """
-    from repro.core import ClientRequest, ROLE_CLIENT
-    from repro.core.cluster import ControllerPool
-    from repro.netmodel.examples import CLIENT_ADDR, figure3_network
-
-    def run():
-        pool = ControllerPool(figure3_network(), n_workers=4)
-        for index in range(16):
-            pool.submit(ClientRequest(
-                client_id="tenant-%d" % index,
-                role=ROLE_CLIENT,
-                config_source="""
-                    FromNetfront() -> IPFilter(allow udp)
-                    -> IPRewriter(pattern - - 172.16.15.133 - 0 0)
-                    -> ToNetfront();
-                """,
-                owned_addresses=(CLIENT_ADDR,),
-                module_name="mod-%d" % index,
-            ))
-        results = pool.process_all()
-        return pool, results
-
-    pool, results = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_table(
-        "Section 4.3: controller pool, 16 requests over 4 workers",
-        ("metric", "value"),
-        [
-            ("requests accepted",
-             sum(1 for r in results.values() if r.accepted)),
-            ("rounds", pool.stats.rounds),
-            ("capacity conflicts", pool.stats.conflicts),
-            ("serial verification",
-             fmt(pool.stats.serial_seconds * 1e3, 1) + " ms"),
-            ("parallel wall-clock (modeled)",
-             fmt(pool.stats.parallel_seconds * 1e3, 1) + " ms"),
-            ("speedup", fmt(pool.stats.speedup, 2) + "x"),
-        ],
-    )
-    assert all(r.accepted for r in results.values())
-    assert pool.stats.speedup > 1.5

@@ -34,7 +34,6 @@ from repro.core.catalog import (
     catalog_config,
     stock_module_config,
 )
-from repro.core.cluster import ControllerPool
 from repro.core.federation import FederatedDeployment, Federation
 from repro.core.controller import (
     Controller,
@@ -59,7 +58,6 @@ __all__ = [
     "Controller",
     "DeploymentResult",
     "MigrationResult",
-    "ControllerPool",
     "Federation",
     "FederatedDeployment",
     "Ledger",

@@ -499,11 +499,6 @@ class FederatedControlPlane:
         with self._tracer.span("fedctl.gossip", kind="round"):
             return self.bus.drain_all()
 
-    def anti_entropy_round(self) -> int:
-        """Full pairwise verdict sync (reconciles dropped rumors)."""
-        with self._tracer.span("fedctl.gossip", kind="anti-entropy"):
-            return self.bus.anti_entropy()
-
     # -- failover -----------------------------------------------------------
     def fail_shard(
         self,

@@ -6,7 +6,10 @@ start.  Admitting them one by one through the front-end would spend
 hours re-verifying a trivial config; this helper writes the steady
 state those admissions would have produced -- platform deployment +
 steering rule, controller bookkeeping, ledger entry, journal
-intent/commit pair, shard placement -- directly, in O(N).
+intent/commit pair, shard placement -- directly, in O(N).  The
+controller-side part (record, steering rule, authorization set, bill)
+goes through ``Controller._install``, the step a committed admission
+takes, so the two cannot drift apart.
 
 The seeded state is *honest*: it passes the federation invariant suite
 (placement bijection, address/ledger balance, journal live-state
@@ -103,18 +106,11 @@ def seed_residents(
             segment.journal.append(
                 OP_DEPLOY, PHASE_COMMIT, **journal_fields
             )
-        controller.deployed[module_id] = _DeployedModule(
+        controller._install(_DeployedModule(
             module_id=module_id, client_id=client_id,
             platform=platform_name, address=address, config=config,
             sandboxed=False, requirements=[], proto=proto, port=port,
-        )
-        controller.ledger.record_deployment(
-            module_id, client_id, False, now
-        )
-        controller.flow_rules[(platform_name, address)] = module_id
-        controller.client_addresses.setdefault(
-            client_id, set()
-        ).add(address)
+        ), now)
         segment.tenants.add(client_id)
         plane.placements[module_id] = (shard_id, shard_id)
         module_ids.append(module_id)

@@ -67,12 +67,6 @@ def figure3_network() -> Network:
     return net
 
 
-def figure3_operator_policy() -> str:
-    """The operator requirement of Section 2.2: client-bound HTTP must
-    traverse the HTTP optimizer (here: the fw path into r2)."""
-    return "reach from internet tcp src port 80 -> fw -> client"
-
-
 def linear_network(
     n_middleboxes: int, with_platform: bool = True
 ) -> Network:

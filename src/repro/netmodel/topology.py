@@ -557,11 +557,6 @@ class Network:
     def platforms(self) -> List[Platform]:
         return [n for n in self.nodes.values() if isinstance(n, Platform)]
 
-    def client_subnets(self) -> List[ClientSubnet]:
-        return [
-            n for n in self.nodes.values() if isinstance(n, ClientSubnet)
-        ]
-
     def internet_nodes(self) -> List[Internet]:
         return [n for n in self.nodes.values() if isinstance(n, Internet)]
 

@@ -183,13 +183,6 @@ class FlowSpec:
             clause.constraint_items() for clause in self.clauses
         )
 
-    def constrained_fields(self) -> Set[str]:
-        """Union of fields constrained by any clause."""
-        fields: Set[str] = set()
-        for clause in self.clauses:
-            fields |= clause.fields()
-        return fields
-
     def is_satisfiable(self) -> bool:
         """Whether at least one clause is non-contradictory."""
         return bool(self.clauses)

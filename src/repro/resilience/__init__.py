@@ -57,7 +57,6 @@ from repro.resilience.health import HealthMonitor
 from repro.resilience.failover import FailoverEngine, FailoverReport
 from repro.resilience.invariants import (
     InvariantViolation,
-    check_invariants,
     check_switch_invariants,
     collect_violations,
     controller_state_digest,
@@ -89,7 +88,6 @@ __all__ = [
     "FailoverEngine",
     "FailoverReport",
     "InvariantViolation",
-    "check_invariants",
     "check_switch_invariants",
     "collect_violations",
     "controller_state_digest",

@@ -1,6 +1,6 @@
 """System invariants the control plane must preserve under faults.
 
-The chaos harness calls :func:`check_invariants` after **every**
+The chaos harness calls :func:`collect_violations` after **every**
 scripted event; a violation means a fault path corrupted control-plane
 state.  At control-plane quiesce (no admission or migration in flight)
 the following must hold:
@@ -41,24 +41,6 @@ from repro.netmodel.topology import Platform
 
 class InvariantViolation(InNetError):
     """A control-plane safety invariant does not hold."""
-
-
-def check_invariants(
-    controller,
-    external_addresses: Optional[Iterable[int]] = None,
-) -> None:
-    """Raise :class:`InvariantViolation` on the first broken invariant.
-
-    ``external_addresses`` lists addresses legitimately present in
-    ``client_addresses`` without a backing module (explicitly
-    registered client endpoints); anything else unaccounted for is a
-    leak.
-    """
-    problems = collect_violations(
-        controller, external_addresses=external_addresses
-    )
-    if problems:
-        raise InvariantViolation("; ".join(problems))
 
 
 def collect_violations(

@@ -264,40 +264,6 @@ class TestFedctlCountersRoundTrip:
             parsed["fedctl_gossip_remote_hits"].values()
         ) > 0
 
-    def test_pool_metrics_round_trip(self):
-        from repro.core.cluster import ControllerPool
-        from repro.core import ClientRequest, ROLE_CLIENT
-        from repro.netmodel.examples import (
-            CLIENT_ADDR, figure3_network,
-        )
-
-        obs = Observability()
-        pool = ControllerPool(figure3_network(), n_workers=4, obs=obs)
-        for i in range(6):
-            pool.submit(ClientRequest(
-                client_id="client-%d" % i,
-                role=ROLE_CLIENT,
-                config_source="FromNetfront() -> IPFilter(allow udp)"
-                              " -> IPRewriter(pattern - - "
-                              "172.16.15.133 - 0 0) -> ToNetfront();",
-                owned_addresses=(CLIENT_ADDR,),
-                module_name="m%d" % i,
-            ))
-        pool.process_all()
-        parsed = parse_prometheus(obs.to_prometheus())
-        assert parsed["pool_verifications_total"][""] >= 6
-        assert parsed["pool_rounds_total"][""] >= 1
-        assert parsed["pool_requests_total"][
-            '{outcome="accepted"}'
-        ] == 6
-        # PoolStats gauges are sampled by the registry collector.
-        assert parsed["pool_workers"][""] == 4
-        assert parsed["pool_pending"][""] == 0
-        assert parsed["pool_speedup"][""] == \
-            pytest.approx(pool.stats.speedup)
-        assert parsed["pool_serial_seconds"][""] == \
-            pytest.approx(pool.stats.serial_seconds, rel=1e-3)
-
 
 class TestControllerTrialsRoundTrip:
     """``controller_trials_total{op,outcome}`` -- one count per trial,

@@ -3,7 +3,7 @@
 from repro.click import parse_config
 from repro.policy import parse_requirement
 from repro.symexec import SymbolicEngine, SymGraph
-from repro.symexec.reachability import ReachabilityChecker
+from repro.symexec.reachability import ReachabilityChecker, domain_at
 
 
 def check(source, requirement_text, namespace="mod", inject="mod/src"):
@@ -102,3 +102,54 @@ class TestReachability:
         # dst was rewritten BEFORE the TimedUnqueue: the hop from the
         # batcher to the sink keeps it constant, so this passes.
         assert result.satisfied
+
+
+#: TCP crosses the waypoint ``w``; every other protocol bypasses it.
+SPLIT = """
+    src :: FromNetfront();
+    c :: IPClassifier(tcp, -);
+    w :: Counter();
+    dst :: ToNetfront();
+    src -> c;
+    c[0] -> w -> dst;
+    c[1] -> dst;
+"""
+
+
+class TestAlwaysWithTargetFlow:
+    """``always`` with a flow on the target hop: only flows that may
+    carry target-matching packets (overlap) must cross the waypoint."""
+
+    def test_target_flow_overlapping_only_waypoint_flows(self):
+        result = check(
+            SPLIT, "always from internet -> mod:w:0 -> mod:dst:0 tcp"
+        )
+        assert result.satisfied
+        assert result.witnesses == []
+
+    def test_target_flow_overlapping_a_bypass(self):
+        result = check(
+            SPLIT, "always from internet -> mod:w:0 -> mod:dst:0 udp"
+        )
+        assert not result.satisfied
+        [bypass] = result.witnesses
+        nodes = [entry.node for entry in bypass.trace]
+        assert nodes[-1] == "mod/dst" and "mod/w" not in nodes
+        # The violation is the non-TCP flow, which may carry UDP.
+        proto = domain_at(bypass, bypass.trace[-1].snapshot, "ip_proto")
+        assert 17 in proto and 6 not in proto
+        assert "without traversing" in result.reason
+
+    def test_verdicts_equal_under_seed_mode(self):
+        from repro.symexec.tuning import seed_mode
+
+        requirements = [
+            "always from internet -> mod:w:0 -> mod:dst:0 %s" % proto
+            for proto in ("tcp", "udp")
+        ]
+        fast = [check(SPLIT, text) for text in requirements]
+        with seed_mode():
+            seed = [check(SPLIT, text) for text in requirements]
+        assert [r.satisfied for r in fast] == [True, False]
+        assert [r.satisfied for r in seed] == [r.satisfied for r in fast]
+        assert [r.reason for r in seed] == [r.reason for r in fast]
