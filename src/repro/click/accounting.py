@@ -157,7 +157,7 @@ class ExactAccounting(_Accounting):
     def end(self, entry, ingress, name, n, nbytes, packets) -> None:
         if name in self._buffering:
             for packet in packets:
-                packet.annotations[INGRESS] = ingress
+                packet.annotate(INGRESS, ingress)
         else:
             drops = self._children[name][2]
             if drops is not None:
@@ -222,7 +222,7 @@ class DeferredAccounting(_Accounting):
             # End-to-end latency must survive the buffer: the drain
             # path (Runtime.deliver_from) reads this stamp back.
             for packet in packets:
-                packet.annotations[INGRESS] = ingress
+                packet.annotate(INGRESS, ingress)
         else:
             self._tally((entry, name, "drop"), n, nbytes)
 

@@ -314,8 +314,13 @@ class PacketColumns:
                 for packet, value in zip(out, vals):
                     packet.fields[name] = value
         for name, value in self.pending_annots.items():
+            # Packet.annotate, inlined: the dict is made on first write.
             for packet in out:
-                packet.annotations[name] = value
+                annotations = packet._annotations
+                if annotations is None:
+                    packet._annotations = {name: value}
+                else:
+                    annotations[name] = value
         return out
 
     def __len__(self) -> int:

@@ -195,12 +195,12 @@ class PaintSwitch(Element):
         self.require_args(args, 0, 0)
 
     def push(self, port: int, packet) -> PushResult:
-        return [(int(packet.annotations.get("paint", 0)), packet)]
+        return [(int(packet.annotation("paint", 0)), packet)]
 
     def push_batch(self, port: int, packets: List) -> PushBatchResult:
         groups = {}
         for packet in packets:
-            out = int(packet.annotations.get("paint", 0))
+            out = int(packet.annotation("paint", 0))
             try:
                 groups[out].append(packet)
             except KeyError:

@@ -47,6 +47,19 @@ from repro.common.fields import (  # noqa: F401
 
 _packet_ids = itertools.count(1)
 
+#: The header fields every ``Packet()`` starts from.
+_DEFAULT_FIELDS: Dict[str, Any] = {
+    IP_SRC: 0,
+    IP_DST: 0,
+    IP_PROTO: UDP,
+    IP_TTL: 64,
+    IP_TOS: 0,
+    TP_SRC: 0,
+    TP_DST: 0,
+    TCP_FLAGS: 0,
+    PAYLOAD: b"",
+}
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -72,6 +85,14 @@ class Packet:
     Click-style annotations (paint color, firewall tag, ...), which travel
     with the packet but are not part of the wire format.
 
+    A packet pays only for the state it carries: the annotation dict
+    and the encapsulation stack are created on first write (their slots
+    hold ``None`` until then), and ``uid`` is drawn on first read.  The
+    public ``annotations``/``encap_stack`` attributes create their
+    container on access; in-tree hot paths read through
+    :meth:`annotation` and :attr:`encap_depth` instead, which never
+    allocate.
+
     >>> from repro.common import parse_ip
     >>> p = Packet(ip_src=parse_ip("10.0.0.1"), ip_proto=UDP, tp_dst=1500)
     >>> p[TP_DST]
@@ -79,7 +100,7 @@ class Packet:
     """
 
     __slots__ = (
-        "fields", "annotations", "encap_stack", "length", "uid",
+        "fields", "_annotations", "_encap", "length", "_uid",
         "_fkey", "_fhash",
     )
 
@@ -92,25 +113,69 @@ class Packet:
         annotations: Optional[Dict[str, Any]] = None,
         **fields: Any,
     ):
-        self.fields: Dict[str, Any] = {
-            IP_SRC: 0,
-            IP_DST: 0,
-            IP_PROTO: UDP,
-            IP_TTL: 64,
-            IP_TOS: 0,
-            TP_SRC: 0,
-            TP_DST: 0,
-            TCP_FLAGS: 0,
-            PAYLOAD: b"",
-        }
-        for name, value in fields.items():
-            self.fields[name] = value
-        self.annotations: Dict[str, Any] = dict(annotations or {})
-        self.encap_stack: List[Dict[str, Any]] = []
+        self.fields: Dict[str, Any] = {**_DEFAULT_FIELDS, **fields}
+        self._annotations = dict(annotations) if annotations else None
+        self._encap = None
         self.length = length
-        self.uid = next(_packet_ids)
+        self._uid = None
         self._fkey = None
         self._fhash = None
+
+    # -- lazily allocated state ----------------------------------------------
+    @property
+    def annotations(self) -> Dict[str, Any]:
+        """The annotation dict, created empty on first access."""
+        annotations = self._annotations
+        if annotations is None:
+            annotations = self._annotations = {}
+        return annotations
+
+    @annotations.setter
+    def annotations(self, value: Dict[str, Any]) -> None:
+        self._annotations = value
+
+    def annotation(self, name: str, default: Any = None) -> Any:
+        """One annotation, or ``default``; never creates the dict."""
+        annotations = self._annotations
+        if annotations is None:
+            return default
+        return annotations.get(name, default)
+
+    def annotate(self, name: str, value: Any) -> None:
+        """Set one annotation, creating the dict on the first write."""
+        annotations = self._annotations
+        if annotations is None:
+            self._annotations = {name: value}
+        else:
+            annotations[name] = value
+
+    @property
+    def encap_stack(self) -> List[Dict[str, Any]]:
+        """Saved inner headers, innermost last; created on access."""
+        stack = self._encap
+        if stack is None:
+            stack = self._encap = []
+        return stack
+
+    @encap_stack.setter
+    def encap_stack(self, value: List[Dict[str, Any]]) -> None:
+        self._encap = value
+
+    @property
+    def uid(self) -> int:
+        """A process-local identity, drawn from a counter on first read.
+
+        Unique among the packets of one process; a packet that crossed
+        a process boundary before its uid was read draws it there.
+        """
+        uid = self._uid
+        if uid is None:
+            uid = self._uid = next(_packet_ids)
+        return uid
+
+    @uid.setter
+    def uid(self, value: int) -> None:
+        self._uid = value
 
     # -- mapping-style access ---------------------------------------------
     def __getitem__(self, field: str) -> Any:
@@ -131,13 +196,20 @@ class Packet:
 
     # -- lifecycle ----------------------------------------------------------
     def copy(self) -> "Packet":
-        """Deep-enough copy: fields, annotations and encap stack."""
+        """Deep-enough copy: fields, annotations and encap stack.
+
+        State the original does not carry (no annotation, no
+        encapsulation) is not allocated on the clone either, and the
+        clone draws its own ``uid`` when that is first read.
+        """
+        annotations = self._annotations
+        stack = self._encap
         clone = Packet.__new__(Packet)
         clone.fields = dict(self.fields)
-        clone.annotations = dict(self.annotations)
-        clone.encap_stack = [dict(layer) for layer in self.encap_stack]
+        clone._annotations = dict(annotations) if annotations else None
+        clone._encap = [dict(layer) for layer in stack] if stack else None
         clone.length = self.length
-        clone.uid = next(_packet_ids)
+        clone._uid = None
         # Clones share the 5-tuple, so the cached flow key/hash carries
         # over -- the big win for bulk traffic generation, where one
         # hashed template fans out to thousands of pre-hashed clones.
@@ -152,25 +224,29 @@ class Packet:
         clones one template packet thousands of times; this amortizes
         the attribute and method lookups of :meth:`copy` over the whole
         run and skips the default-field-dict construction that
-        ``Packet()`` would redo per clone.
+        ``Packet()`` would redo per clone.  A clone of a plain template
+        is one ``Packet`` plus one field dict.
         """
         fields = self.fields
-        annotations = self.annotations
-        encap_stack = self.encap_stack
+        annotations = self._annotations or None
+        stack = self._encap or None
         length = self.length
         fkey = self._fkey
         fhash = self._fhash
         new = Packet.__new__
-        next_id = _packet_ids.__next__
         clones: List[Packet] = []
         append = clones.append
         for _ in range(n):
             clone = new(Packet)
             clone.fields = dict(fields)
-            clone.annotations = dict(annotations)
-            clone.encap_stack = [dict(layer) for layer in encap_stack]
+            clone._annotations = (
+                None if annotations is None else dict(annotations)
+            )
+            clone._encap = (
+                None if stack is None else [dict(layer) for layer in stack]
+            )
             clone.length = length
-            clone.uid = next_id()
+            clone._uid = None
             clone._fkey = fkey
             clone._fhash = fhash
             append(clone)
@@ -183,7 +259,12 @@ class Packet:
         Fields not named in ``outer`` keep their current values in the new
         outer header (TTL, TOS...).
         """
-        self.encap_stack.append(dict(self.fields))
+        inner = dict(self.fields)
+        stack = self._encap
+        if stack is None:
+            self._encap = [inner]
+        else:
+            stack.append(inner)
         for name, value in outer.items():
             self.fields[name] = value
         self._fkey = None
@@ -191,16 +272,18 @@ class Packet:
 
     def decapsulate(self) -> None:
         """Pop the innermost saved header, restoring pre-encap fields."""
-        if not self.encap_stack:
+        stack = self._encap
+        if not stack:
             raise ValueError("decapsulate() on a packet with no encap stack")
-        self.fields = self.encap_stack.pop()
+        self.fields = stack.pop()
         self._fkey = None
         self._fhash = None
 
     @property
     def encap_depth(self) -> int:
         """Number of encapsulation layers currently on the packet."""
-        return len(self.encap_stack)
+        stack = self._encap
+        return 0 if stack is None else len(stack)
 
     # -- convenience -----------------------------------------------------------
     def is_tcp_syn(self) -> bool:

@@ -228,7 +228,7 @@ class Runtime:
         # back from the buffer-entry annotation.
         entry = ("x", name)
         ingress = self.now if acct is None \
-            else packet.annotations.get(INGRESS, self.now)
+            else packet.annotation(INGRESS, self.now)
         nxt = self._adjacency.get((name, port))
         if nxt is not None:
             self._walk(nxt[0], nxt[1], packet, entry, ingress)

@@ -1,7 +1,12 @@
 """Tests for the Packet abstraction."""
 
+import pickle
+import sys
+import tracemalloc
+
 import pytest
 
+from repro.click import Runtime, parse_config
 from repro.click.packet import (
     IP_DST,
     IP_PROTO,
@@ -213,3 +218,209 @@ class TestFlowHash:
         # Sequential clients must not alias onto few shards: every
         # shard takes a healthy cut of a 1000-flow population.
         assert min(buckets) > 150
+
+
+class TestLazyState:
+    """Annotations, encap stack and uid are created on first use; a
+    first write on one packet never reaches another."""
+
+    def test_first_annotation_on_a_copy_stays_there(self):
+        template = Packet(tp_dst=80)
+        clone = template.copy()
+        clone.annotations["paint"] = 1
+        assert template.annotations == {}
+        template.annotations["tag"] = 2
+        assert clone.annotations == {"paint": 1}
+
+    def test_first_annotation_on_a_clone_stays_there(self):
+        template = Packet(tp_dst=80)
+        a, b = template.copy_many(2)
+        a.annotations["paint"] = 1
+        assert b.annotations == {} and template.annotations == {}
+        template.annotate("tag", 2)
+        b.annotate("paint", 3)
+        assert a.annotations == {"paint": 1}
+        assert b.annotations == {"paint": 3}
+        assert template.annotations == {"tag": 2}
+
+    def test_first_encapsulation_on_a_copy_stays_there(self):
+        template = Packet(ip_dst=1)
+        clone = template.copy()
+        clone.encapsulate(ip_dst=2)
+        assert template.encap_depth == 0 and template[IP_DST] == 1
+        template.encapsulate(ip_dst=3)
+        clone.decapsulate()
+        assert template.encap_depth == 1 and template[IP_DST] == 3
+        assert clone.encap_depth == 0 and clone[IP_DST] == 1
+
+    def test_first_encapsulation_on_a_clone_stays_there(self):
+        template = Packet(ip_dst=1)
+        a, b = template.copy_many(2)
+        a.encapsulate(ip_dst=2)
+        assert b.encap_depth == 0 and template.encap_depth == 0
+        template.encapsulate(ip_dst=3)
+        b.encapsulate(ip_dst=4)
+        assert [a.encap_depth, b.encap_depth] == [1, 1]
+        a.decapsulate()
+        b.decapsulate()
+        assert template[IP_DST] == 3 and template.encap_depth == 1
+        assert a.encap_stack == [] and b.encap_stack == []
+
+    def test_decapsulating_a_clone_leaves_the_template_tunnelled(self):
+        template = Packet(ip_dst=1)
+        template.encapsulate(ip_dst=2)
+        (clone,) = template.copy_many(1)
+        clone.decapsulate()
+        copied = template.copy()
+        copied.decapsulate()
+        assert template.encap_depth == 1 and template[IP_DST] == 2
+        assert template.encap_stack == [dict(clone.fields)]
+
+    def test_constructor_copies_the_annotation_dict(self):
+        given = {"paint": 1}
+        p = Packet(annotations=given)
+        p.annotations["paint"] = 2
+        given["tag"] = 3
+        assert p.annotations == {"paint": 2}
+        assert given == {"paint": 1, "tag": 3}
+        empty = {}
+        q = Packet(annotations=empty)
+        q.annotations["paint"] = 1
+        assert empty == {}
+
+    def test_reads_answer_without_state(self):
+        p = Packet()
+        assert p.annotation("paint") is None
+        assert p.annotation("paint", 0) == 0
+        assert p.encap_depth == 0
+        q = Packet(annotations={"paint": 2})
+        assert q.annotation("paint", 0) == 2
+
+    def test_decapsulate_on_a_fresh_packet_raises(self):
+        for p in (Packet(), Packet().copy(), Packet().copy_many(1)[0]):
+            with pytest.raises(ValueError):
+                p.decapsulate()
+        p = Packet()
+        p.encapsulate(ip_dst=1)
+        p.decapsulate()
+        with pytest.raises(ValueError):
+            p.decapsulate()
+
+    def test_uid_is_unique_and_stable_once_read(self):
+        template = Packet()
+        packets = [template, template.copy()] + template.copy_many(5)
+        packets.append(Packet())
+        uids = [p.uid for p in packets]
+        assert len(set(uids)) == len(packets)
+        assert [p.uid for p in packets] == uids
+        assert template.copy().uid not in uids
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_pickle_round_trip(self, loaded):
+        p = Packet(ip_src=1, tp_dst=80, length=1500)
+        if loaded:
+            p.annotate("paint", 2)
+            p.encapsulate(ip_dst=9, ip_proto=TCP)
+        p.flow_hash()
+        q = pickle.loads(pickle.dumps(p))
+        assert q.fields == p.fields
+        assert q.annotations == p.annotations
+        assert q.encap_stack == p.encap_stack
+        assert q.encap_depth == p.encap_depth
+        assert q.length == 1500
+        assert q.flow_hash() == p.flow_hash()
+        q.annotate("tag", 1)
+        q.encapsulate(ip_dst=7)
+        assert "tag" not in p.annotations
+        assert p.encap_depth == (1 if loaded else 0)
+
+    def test_pickle_keeps_a_read_uid(self):
+        p = Packet()
+        uid = p.uid
+        assert pickle.loads(pickle.dumps(p)).uid == uid
+
+
+def _pickled(packets):
+    return [pickle.dumps(p) for p in packets]
+
+
+class TestReadersNeverAllocate:
+    """Routing on an annotation or an encap depth the packet does not
+    carry must not create the empty container: every packet pickles to
+    the same bytes after the pass as before it."""
+
+    SWITCH = """
+        src :: FromNetfront();
+        sw :: PaintSwitch();
+        src -> sw;
+        sw[0] -> a :: ToNetfront();
+        sw[1] -> b :: ToNetfront();
+    """
+    # The classifier ends a column plan (FromNetfront and IPClassifier
+    # both have kernels), so its groups reach PaintSwitch materialized.
+    COLUMN_SWITCH = """
+        src :: FromNetfront();
+        c :: IPClassifier(udp, -);
+        sw :: PaintSwitch();
+        src -> c;
+        c[0] -> sw;
+        c[1] -> sw;
+        sw[0] -> a :: ToNetfront();
+        sw[1] -> b :: ToNetfront();
+    """
+    DECAP = """
+        src :: FromNetfront();
+        src -> d :: IPDecap() -> out :: ToNetfront();
+    """
+
+    @staticmethod
+    def _train(n=32):
+        return [Packet(ip_src=i, ip_proto=TCP if i % 3 else UDP, tp_dst=i)
+                for i in range(n)]
+
+    def _check(self, source, mode, delivered):
+        packets = self._train()
+        before = _pickled(packets)
+        rt = Runtime(parse_config(source), use_columns=mode == "columns")
+        if mode == "scalar":
+            for packet in packets:
+                rt.inject("src", packet)
+        else:
+            rt.inject_batch("src", packets)
+        rt.run()
+        assert _pickled(packets) == before
+        assert len(rt.output) == (len(packets) if delivered else 0)
+        return rt
+
+    @pytest.mark.parametrize("mode", ["scalar", "batch"])
+    def test_paint_switch(self, mode):
+        rt = self._check(self.SWITCH, mode, delivered=True)
+        assert {record.element for record in rt.output} == {"a"}
+
+    def test_paint_switch_after_columns(self):
+        rt = self._check(self.COLUMN_SWITCH, "columns", delivered=True)
+        assert rt.columnar_batches > 0
+        assert {record.element for record in rt.output} == {"a"}
+
+    @pytest.mark.parametrize("mode", ["scalar", "batch"])
+    def test_decap_depth_check(self, mode):
+        rt = self._check(self.DECAP, mode, delivered=False)
+        assert rt.element("d").dropped == 32
+
+
+class TestFootprint:
+    def test_clone_costs_one_packet_and_one_field_dict(self):
+        # A count, not a timing: bytes per clone beyond the field dict
+        # are the Packet object and its list slot.  Empty annotation
+        # and encap containers would add about 120 bytes.
+        template = Packet(ip_src=1, ip_dst=2, tp_src=3, tp_dst=80)
+        n = 10_000
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            clones = template.copy_many(n)
+            used = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(clones) == n
+        assert used / n - sys.getsizeof(template.fields) <= 128
