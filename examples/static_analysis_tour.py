@@ -12,8 +12,8 @@ in the operator's network.
 The finale times the whole pipeline as the controller runs it: a cold
 admission (compile + place + verify from scratch) against a warm one
 (verdict and model caches hot), with the engine fast path's
-prune/memo/copy-on-write counters alongside — the numbers behind the
-`symexec-speedup` CI gate.  See docs/symexec.md for the machinery.
+prune/memo/copy-on-write counters alongside — the kind of counts tier-1
+pins for a cold admission.  See docs/symexec.md for the machinery.
 
 Run:  python examples/static_analysis_tour.py
 """
@@ -133,11 +133,11 @@ def main() -> None:
     interval = tuning.stats()["interval_cache"]
     print("  interval-op cache : %d hits / %d misses"
           % (interval["hits"], interval["misses"]))
-    print("\nSwitch it all off (repro.symexec.tuning.seed_mode) and the")
-    print("verdict stays bit-identical -- tests/symexec/")
-    print("test_differential.py holds the engine to that, and the")
-    print("symexec-speedup CI gate keeps the fast path >=3x on the")
-    print("63-middlebox network.")
+    print("\nNone of it changes a verdict: tests/symexec/")
+    print("test_differential.py holds this one engine to the seed")
+    print("engine's recorded output, byte for byte, and tier-1 pins")
+    print("the work of a cold admission on the 63-middlebox network")
+    print("by exact counts.")
 
 
 if __name__ == "__main__":

@@ -21,12 +21,10 @@ Interval = Tuple[int, int]
 # IntervalSet instances are immutable value objects, so identical values
 # can be shared (hash-consed) and the results of the binary operations
 # can be cached: the symbolic engine narrows the *same* (domain, clause)
-# pair across thousands of forked flows, and with the cache on each
+# pair across thousands of forked flows, and with the cache each
 # distinct pair is computed exactly once.  Caching is transparent --
-# results are content-equal to what the uncached code paths produce --
-# and can be switched off (``set_result_cache(False)``) to recover the
-# allocate-per-call seed behavior, which the symexec differential tests
-# and the ``symexec_speedup_check`` benchmark use as their baseline.
+# a hit is content-equal to what the miss path computes (see
+# ``clear_result_cache``).
 
 
 class _CacheStats:
@@ -41,7 +39,6 @@ class _CacheStats:
 
 
 _STATS = _CacheStats()
-_CACHE_ENABLED = True
 #: interval tuple -> the canonical IntervalSet carrying it.
 _INTERN: Dict[Tuple[Interval, ...], "IntervalSet"] = {}
 #: Per-operation result caches keyed on ``(left id, right id)``.  Keys
@@ -62,33 +59,21 @@ _NEXT_ID = 0
 _MAX_ENTRIES = 1 << 16
 
 
-def set_result_cache(enabled: bool) -> None:
-    """Switch interning + operation-result caching on or off.
+def clear_result_cache() -> None:
+    """Drop every cached value and result (counters are kept).
 
-    Disabling also clears both caches so re-enabling starts cold.
+    The next operation on any pair recomputes it on the miss path;
+    the result is content-equal to the one that was cached.
 
-    >>> set_result_cache(False)
     >>> a = IntervalSet.from_interval(0, 9)
     >>> b = IntervalSet.from_interval(5, 20)
     >>> a.intersect(b) is a.intersect(b)
-    False
-    >>> set_result_cache(True)
-    >>> a.intersect(b) is a.intersect(b)
+    True
+    >>> cached = a.intersect(b)
+    >>> clear_result_cache()
+    >>> a.intersect(b).intervals == cached.intervals
     True
     """
-    global _CACHE_ENABLED
-    _CACHE_ENABLED = bool(enabled)
-    if not _CACHE_ENABLED:
-        clear_result_cache()
-
-
-def result_cache_enabled() -> bool:
-    """Whether interning + result caching is currently on."""
-    return _CACHE_ENABLED
-
-
-def clear_result_cache() -> None:
-    """Drop every cached value and result (counters are kept)."""
     _INTERN.clear()
     _AND_RESULTS.clear()
     _OR_RESULTS.clear()
@@ -98,7 +83,6 @@ def clear_result_cache() -> None:
 def result_cache_stats() -> Dict[str, int]:
     """Counters: result-cache hits/misses and interned value count."""
     return {
-        "enabled": int(_CACHE_ENABLED),
         "hits": _STATS.hits,
         "misses": _STATS.misses,
         "interned": _STATS.interned,
@@ -115,12 +99,9 @@ def intern(value: "IntervalSet") -> "IntervalSet":
     interval tuple, or the previously seen instance otherwise.  Either
     way ``value`` leaves with the content's intern id stamped on it,
     so later operations on a non-canonical duplicate still hit the
-    result caches.  With caching disabled this is the identity
-    function.
+    result caches.
     """
     global _NEXT_ID
-    if not _CACHE_ENABLED:
-        return value
     key = value._intervals
     cached = _INTERN.get(key)
     if cached is not None:
@@ -163,24 +144,20 @@ class IntervalSet:
     @classmethod
     def single(cls, value: int) -> "IntervalSet":
         """The singleton set ``{value}``."""
-        if _CACHE_ENABLED:
-            cached = _INTERN.get(((value, value),))
-            if cached is not None:
-                return cached
-            return intern(cls([(value, value)]))
-        return cls([(value, value)])
+        cached = _INTERN.get(((value, value),))
+        if cached is not None:
+            return cached
+        return intern(cls([(value, value)]))
 
     @classmethod
     def from_interval(cls, low: int, high: int) -> "IntervalSet":
         """The inclusive range ``[low, high]`` (empty if ``low > high``)."""
         if low > high:
             return _EMPTY
-        if _CACHE_ENABLED:
-            cached = _INTERN.get(((low, high),))
-            if cached is not None:
-                return cached
-            return intern(cls([(low, high)]))
-        return cls([(low, high)])
+        cached = _INTERN.get(((low, high),))
+        if cached is not None:
+            return cached
+        return intern(cls([(low, high)]))
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "IntervalSet":
@@ -245,25 +222,23 @@ class IntervalSet:
     # -- algebra ----------------------------------------------------------
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         """Set intersection."""
-        if _CACHE_ENABLED:
-            lid = self._intern_id
-            if lid is None:
-                lid = intern(self)._intern_id
-            rid = other._intern_id
-            if rid is None:
-                rid = intern(other)._intern_id
-            key = (lid, rid)
-            cached = _AND_RESULTS.get(key)
-            if cached is not None:
-                _STATS.hits += 1
-                return cached
-            result = intern(self._intersect(other))
-            _STATS.misses += 1
-            if len(_AND_RESULTS) >= _MAX_ENTRIES:
-                _AND_RESULTS.clear()
-            _AND_RESULTS[key] = result
-            return result
-        return self._intersect(other)
+        lid = self._intern_id
+        if lid is None:
+            lid = intern(self)._intern_id
+        rid = other._intern_id
+        if rid is None:
+            rid = intern(other)._intern_id
+        key = (lid, rid)
+        cached = _AND_RESULTS.get(key)
+        if cached is not None:
+            _STATS.hits += 1
+            return cached
+        result = intern(self._intersect(other))
+        _STATS.misses += 1
+        if len(_AND_RESULTS) >= _MAX_ENTRIES:
+            _AND_RESULTS.clear()
+        _AND_RESULTS[key] = result
+        return result
 
     def _intersect(self, other: "IntervalSet") -> "IntervalSet":
         result: List[Interval] = []
@@ -286,47 +261,43 @@ class IntervalSet:
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         """Set union."""
-        if _CACHE_ENABLED:
-            lid = self._intern_id
-            if lid is None:
-                lid = intern(self)._intern_id
-            rid = other._intern_id
-            if rid is None:
-                rid = intern(other)._intern_id
-            key = (lid, rid)
-            cached = _OR_RESULTS.get(key)
-            if cached is not None:
-                _STATS.hits += 1
-                return cached
-            result = intern(IntervalSet(self._intervals + other._intervals))
-            _STATS.misses += 1
-            if len(_OR_RESULTS) >= _MAX_ENTRIES:
-                _OR_RESULTS.clear()
-            _OR_RESULTS[key] = result
-            return result
-        return IntervalSet(self._intervals + other._intervals)
+        lid = self._intern_id
+        if lid is None:
+            lid = intern(self)._intern_id
+        rid = other._intern_id
+        if rid is None:
+            rid = intern(other)._intern_id
+        key = (lid, rid)
+        cached = _OR_RESULTS.get(key)
+        if cached is not None:
+            _STATS.hits += 1
+            return cached
+        result = intern(IntervalSet(self._intervals + other._intervals))
+        _STATS.misses += 1
+        if len(_OR_RESULTS) >= _MAX_ENTRIES:
+            _OR_RESULTS.clear()
+        _OR_RESULTS[key] = result
+        return result
 
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
         """Set difference ``self - other``."""
-        if _CACHE_ENABLED:
-            lid = self._intern_id
-            if lid is None:
-                lid = intern(self)._intern_id
-            rid = other._intern_id
-            if rid is None:
-                rid = intern(other)._intern_id
-            key = (lid, rid)
-            cached = _SUB_RESULTS.get(key)
-            if cached is not None:
-                _STATS.hits += 1
-                return cached
-            result = intern(self._subtract(other))
-            _STATS.misses += 1
-            if len(_SUB_RESULTS) >= _MAX_ENTRIES:
-                _SUB_RESULTS.clear()
-            _SUB_RESULTS[key] = result
-            return result
-        return self._subtract(other)
+        lid = self._intern_id
+        if lid is None:
+            lid = intern(self)._intern_id
+        rid = other._intern_id
+        if rid is None:
+            rid = intern(other)._intern_id
+        key = (lid, rid)
+        cached = _SUB_RESULTS.get(key)
+        if cached is not None:
+            _STATS.hits += 1
+            return cached
+        result = intern(self._subtract(other))
+        _STATS.misses += 1
+        if len(_SUB_RESULTS) >= _MAX_ENTRIES:
+            _SUB_RESULTS.clear()
+        _SUB_RESULTS[key] = result
+        return result
 
     def _subtract(self, other: "IntervalSet") -> "IntervalSet":
         result: List[Interval] = []

@@ -47,7 +47,6 @@ from repro.common.addr import format_ip
 from repro.common.errors import DeploymentError, VerificationError
 from repro.core.requests import ClientRequest
 from repro.core.security import (
-    SecurityAnalyzer,
     SecurityReport,
     VERDICT_REJECT,
     VERDICT_SANDBOX,
@@ -67,7 +66,6 @@ from repro.symexec.summaries import (
     SummaryCache,
     VerificationCache,
 )
-from repro.symexec.tuning import optimizations_enabled
 
 
 @dataclass
@@ -133,8 +131,7 @@ class _Trial:
 
     Entering takes an address on ``platform``; :meth:`place` vacates
     the ``source`` record's platform (a move), deploys, recomputes
-    routes and splices into the maintained ``model`` (without one,
-    ``fast_path=False``, it compiles from scratch); :meth:`verify`;
+    routes and splices into the maintained ``model``; :meth:`verify`;
     :meth:`commit`.  The trial itself is never journaled: a crash
     mid-trial leaves a platform orphan :meth:`Controller.recover`
     reconciles away.  Leaving without a commit undoes exactly the steps
@@ -168,10 +165,9 @@ class _Trial:
         if self.source is not None:
             network.node(self.source.platform).undeploy(module.module_id)
             self.done.add("vacated")
-            if model is not None:
-                model.unsplice(module.module_id)
-                self.done.add("unspliced")
-                self._settle()
+            model.unsplice(module.module_id)
+            self.done.add("unspliced")
+            self._settle()
         self.platform.deploy(module.module_id, self.address, module.config,
                              proto=module.proto, port=module.port)
         self.done.add("deployed")
@@ -179,15 +175,11 @@ class _Trial:
         # compute_routes() elides the recompute.
         network.compute_routes()
         tracer, started = self.controller._tracer, time.perf_counter()
-        if model is not None:
-            with tracer.span("graft", platform=name):
-                model.splice(name, module.module_id, self.address,
-                             module.config)
-            self.done.add("spliced")
-            self.compiled = model
-        else:
-            with tracer.span("compile", incremental=False, platform=name):
-                self.compiled = NetworkCompiler(network).compile()
+        with tracer.span("graft", platform=name):
+            model.splice(name, module.module_id, self.address,
+                         module.config)
+        self.done.add("spliced")
+        self.compiled = model
         self.spent["compile"] += time.perf_counter() - started
 
     def verify(self) -> List[ReachResult]:
@@ -268,8 +260,7 @@ class _Trial:
         # Summary tables patch a splice or an un-splice, not a node name
         # that left and came back (a move keeps the module's names):
         # settle the un-splice before the names return.
-        if self.controller._summaries is not None:
-            self.controller._summaries.tables_for(self.model.graph)
+        self.controller._summaries.tables_for(self.model.graph)
 
     def _undo(self) -> None:
         done, source = self.done, self.source
@@ -312,7 +303,6 @@ class Controller:
         operator_requirements: str = "",
         ledger=None,
         clock=None,
-        fast_path: bool = True,
         obs=None,
         journal=None,
     ):
@@ -327,13 +317,8 @@ class Controller:
             parse_requirements(operator_requirements)
             if operator_requirements else []
         )
-        #: Admission fast path: verdict caching + incremental
-        #: compilation + route-recompute elision.  ``fast_path=False``
-        #: compiles from scratch per trial (the pre-optimization
-        #: behavior, kept for equivalence testing).
-        self._fast_path = fast_path
-        self.analyzer = (
-            CachingSecurityAnalyzer() if fast_path else SecurityAnalyzer())
+        #: Security verdicts are cached by configuration (repro.core.cache).
+        self.analyzer = CachingSecurityAnalyzer()
         #: Compiled model of the committed snapshot, maintained across
         #: commits and kills and validated against
         #: :meth:`Network.model_signature`.
@@ -372,12 +357,11 @@ class Controller:
         self._tracer = self._obs.tracer
         metrics = self._obs.metrics
         #: Transfer-function summary cache shared by every engine this
-        #: controller creates; None without the fast path.
-        self._summaries = SummaryCache() if fast_path else None
-        #: Footprint-keyed requirement verdict cache (always built; only
-        #: consulted with the fast path and the tuning switch on).
+        #: controller creates.
+        self._summaries = SummaryCache()
+        #: Footprint-keyed requirement verdict cache.
         self._verification = VerificationCache()
-        if self._fast_path and self._obs.enabled:
+        if self._obs.enabled:
             # The caches account in the shared registry, not in private
             # counters (see repro.core.cache.RegistryCacheStats).
             self.analyzer.instrument(metrics, "verdict")
@@ -496,14 +480,12 @@ class Controller:
         result = DeploymentResult(
             accepted=False, reason="no platform satisfies the requirements")
         try:
-            model = None
-            if self._fast_path:
-                # The maintained model of the committed snapshot: each
-                # candidate splices its trial module into it.
-                started = time.perf_counter()
-                with self._tracer.span("compile", incremental=True):
-                    model = self._ensure_compiled()
-                spent["compile"] += time.perf_counter() - started
+            # The maintained model of the committed snapshot: each
+            # candidate splices its trial module into it.
+            started = time.perf_counter()
+            with self._tracer.span("compile"):
+                model = self._ensure_compiled()
+            spent["compile"] += time.perf_counter() - started
             for platform in platforms:
                 try:
                     with _Trial(self, op, platform, model, spent) as trial:
@@ -648,7 +630,7 @@ class Controller:
         else:
             result.source, result.target = record.platform, target_platform
             try:
-                model = self._ensure_compiled() if self._fast_path else None
+                model = self._ensure_compiled()
                 with _Trial(self, "migrate", target, model,
                             source=record) as trial:
                     trial.place(record)
@@ -747,7 +729,6 @@ class Controller:
         operator_requirements: str = "",
         ledger=None,
         clock=None,
-        fast_path: bool = True,
         obs=None,
     ) -> "Controller":
         """Rebuild a controller from its write-ahead journal.
@@ -765,7 +746,7 @@ class Controller:
         """
         controller = cls(
             network, operator_requirements=operator_requirements,
-            ledger=ledger, clock=clock, fast_path=fast_path, obs=obs,
+            ledger=ledger, clock=clock, obs=obs,
             journal=journal,
         )
         live = journal.live_state()
@@ -905,14 +886,11 @@ class Controller:
             "model_rebuilds": dict(self._model_rebuilds),
             "model_splices": dict(self._model_splices),
         }
-        cache_stats = getattr(self.analyzer, "stats", None)
-        if cache_stats is not None:
-            out["verdict_cache"] = cache_stats.to_dict()
+        out["verdict_cache"] = self.analyzer.stats.to_dict()
         from repro.symexec import tuning as symexec_tuning
 
         out["symexec"] = symexec_tuning.stats()
-        if self._summaries is not None:
-            out["symexec_summaries"] = self._summaries.stats()
+        out["symexec_summaries"] = self._summaries.stats()
         out["verification_cache"] = self._verification.stats()
         return out
 
@@ -960,8 +938,7 @@ class Controller:
         plus every derived cache: summary tables and verdicts."""
         self._drop_model("invalidated")
         self._verification.flush()
-        if self._summaries is not None:
-            self._summaries.invalidate()
+        self._summaries.invalidate()
 
     def _install(
         self, record: _DeployedModule, billed_at: Optional[float] = None
@@ -1002,11 +979,11 @@ class Controller:
 
         ``changed`` describes what the caller is mutating: a trial's
         target platform and address (and a vacated source's), nothing
-        during a snapshot re-verification.  With the fast path and the
-        tuning switch on, each requirement first consults the
-        verification cache: a verdict whose reachability footprint
-        avoided every changed segment, and whose per-segment version
-        tokens still validate, is returned without re-exploring.
+        during a snapshot re-verification.  Each requirement first
+        consults the verification cache: a verdict whose reachability
+        footprint avoided every changed segment, and whose per-segment
+        version tokens still validate, is returned without
+        re-exploring.
         """
         checker = ReachabilityChecker(compiled.resolver)
         results: List[ReachResult] = []
@@ -1014,9 +991,7 @@ class Controller:
         # its explore spans nest under the admission span tree and the
         # symexec_* counters land in the shared registry.
         engine = compiled.engine(obs=self._obs, summaries=self._summaries)
-        use_cache = self._fast_path and optimizations_enabled()
-        topo_signature = self.network.topology_signature() \
-            if use_cache else None
+        topo_signature = self.network.topology_signature()
         cache = self._verification
         reused = explored = 0
         # Requirement ownership keys the verdict cache: operator rules
@@ -1027,7 +1002,7 @@ class Controller:
         # cached: the candidate loop may undo their placement.
         pending = [(req, "") for req in self.operator_requirements]
         pending.extend((req, module_id or "") for req in client_requirements)
-        with self._tracer.span("verify", incremental=use_cache) as span:
+        with self._tracer.span("verify") as span:
             for requirement, owner in pending:
                 instantiated = _instantiate_rule(requirement, module_id,
                                                  module_config)
@@ -1035,8 +1010,7 @@ class Controller:
                     continue  # $module rule with no module in flight
                 if instantiated is not requirement:
                     owner = module_id or ""
-                cacheable = use_cache and (owner == ""
-                                           or owner in self.deployed)
+                cacheable = owner == "" or owner in self.deployed
                 key = (owner, str(instantiated))
                 if cacheable:
                     cached = cache.lookup(key, self.network, topo_signature)

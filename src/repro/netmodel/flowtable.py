@@ -184,11 +184,10 @@ class FlowTable:
         whole -- a sound over-approximation for may-reachability
         (extra possible flows, never missing ones).
         """
-        if OPT.enabled:
-            cached = self._branch_cache
-            if cached is not None and cached[0] == self._version:
-                OPT.memo_hits += 1
-                return cached[1]
+        cached = self._branch_cache
+        if cached is not None and cached[0] == self._version:
+            OPT.memo_hits += 1
+            return cached[1]
         self._ensure_sorted()
         branches: List[Tuple[Action, Dict[str, IntervalSet]]] = []
         for index, rule in enumerate(self._rules):
@@ -207,8 +206,7 @@ class FlowTable:
                     break
             if not dead:
                 branches.append((rule.action, residual))
-        if OPT.enabled:
-            self._branch_cache = (self._version, branches)
+        self._branch_cache = (self._version, branches)
         return branches
 
 

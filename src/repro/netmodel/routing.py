@@ -78,16 +78,15 @@ class RoutingTable:
         Empty branches (fully shadowed routes) are omitted.
 
         The split is a pure function of the route list, and router
-        models recompute it per symbolic arrival, so with the fast path
-        on the result is memoized; the cache is validated against a
-        version counter bumped by every ``add``/``remove_port``.
+        models recompute it per symbolic arrival, so the result is
+        memoized; the cache is validated against a version counter
+        bumped by every ``add``/``remove_port``.
         Callers must treat the returned list as read-only.
         """
-        if OPT.enabled:
-            cached = self._split_cache
-            if cached is not None and cached[0] == self._version:
-                OPT.memo_hits += 1
-                return cached[1]
+        cached = self._split_cache
+        if cached is not None and cached[0] == self._version:
+            OPT.memo_hits += 1
+            return cached[1]
         covered = IntervalSet.empty()
         branches: List[Tuple[int, IntervalSet]] = []
         for route in self.routes:  # most-specific first
@@ -98,8 +97,7 @@ class RoutingTable:
             )
             if not allowed.is_empty():
                 branches.append((route.out_port, allowed))
-        if OPT.enabled:
-            self._split_cache = (self._version, branches)
+        self._split_cache = (self._version, branches)
         return branches
 
     def overlapping(self, domain: IntervalSet) -> List[int]:

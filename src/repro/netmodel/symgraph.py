@@ -81,66 +81,54 @@ def _endpoint_model(ctx, node, port, flow):
 def _router_model(ctx, node, port, flow):
     table = ctx.graph.payloads[node]
     results = []
-    if OPT.enabled:
-        # Inline symbolic_split's memo-hit path: this runs for every
-        # symbolic arrival at every router, and the extra call is
-        # measurable on large topologies.
-        cached = table._split_cache
-        if cached is not None and cached[0] == table._version:
-            OPT.memo_hits += 1
-            branches = cached[1]
-        else:
-            branches = table.symbolic_split()
-        variable = flow.packet.var(F.IP_DST)
-        if variable is not None:
-            # Prune fork branches whose destination set cannot overlap
-            # the flow's current ip_dst domain: the seed engine forks
-            # them and immediately kills the fork inside this model,
-            # which is invisible.  Only fork branches (all but the
-            # last) are prunable -- the last branch reuses the
-            # in-place flow, and the seed's in-place constrain,
-            # including the dead-flow state it leaves behind when the
-            # branch is infeasible, must be reproduced exactly.  The
-            # precheck intersect is reused by ``constrain`` through
-            # the interval result cache.
-            current = flow.domain(variable)
-            last = len(branches) - 1
-            if len(branches) >= WIDE_SPLIT:
-                # Visit only the fork branches the split's index says
-                # overlap; the others are exactly the ones the test
-                # below would prune.
-                visit = table.overlapping(current)
-                if visit and visit[-1] == last:
-                    visit.pop()
-                OPT.prunes += last - len(visit)
-                for index in visit:
-                    out_port, allowed = branches[index]
-                    target = flow.fork()
-                    if target.constrain(variable, allowed):
-                        results.append((out_port, target))
-                out_port, allowed = branches[last]
-                if flow.constrain(variable, allowed):
-                    results.append((out_port, flow))
-                return results
-            for index, (out_port, allowed) in enumerate(branches):
-                if index < last and (
-                    current.intersect(allowed).is_empty()
-                ):
-                    OPT.prunes += 1
-                    continue
-                target = flow if index == last else flow.fork()
-                if target.constrain(variable, allowed):
-                    results.append((out_port, target))
-            return results
-        # ip_dst untracked: fall through so constrain_field raises the
-        # same VerificationError the seed engine raises.
+    # Inline symbolic_split's memo-hit path: this runs for every
+    # symbolic arrival at every router, and the extra call is
+    # measurable on large topologies.
+    cached = table._split_cache
+    if cached is not None and cached[0] == table._version:
+        OPT.memo_hits += 1
+        branches = cached[1]
     else:
         branches = table.symbolic_split()
+    variable = flow.packet.var(F.IP_DST)
+    if variable is None:
+        # ip_dst untracked: constraining raises VerificationError.
+        for _out_port, allowed in branches:
+            flow.constrain_field(F.IP_DST, allowed)
+        return results
+    # Prune fork branches whose destination set cannot overlap the
+    # flow's current ip_dst domain: forking them would only create a
+    # flow this model kills at once.  Only fork branches (all but the
+    # last) are prunable -- the last branch reuses the in-place flow,
+    # and its in-place constrain, including the dead-flow state it
+    # leaves behind when the branch is infeasible, is part of the
+    # result.  The precheck intersect is reused by ``constrain``
+    # through the interval result cache.
+    current = flow.domain(variable)
     last = len(branches) - 1
+    if len(branches) >= WIDE_SPLIT:
+        # Visit only the fork branches the split's index says overlap;
+        # the others are exactly the ones the test below would prune.
+        visit = table.overlapping(current)
+        if visit and visit[-1] == last:
+            visit.pop()
+        OPT.prunes += last - len(visit)
+        for index in visit:
+            out_port, allowed = branches[index]
+            target = flow.fork()
+            if target.constrain(variable, allowed):
+                results.append((out_port, target))
+        out_port, allowed = branches[last]
+        if flow.constrain(variable, allowed):
+            results.append((out_port, flow))
+        return results
     for index, (out_port, allowed) in enumerate(branches):
-        fork = flow if index == last else flow.fork()
-        if fork.constrain_field(F.IP_DST, allowed):
-            results.append((out_port, fork))
+        if index < last and current.intersect(allowed).is_empty():
+            OPT.prunes += 1
+            continue
+        target = flow if index == last else flow.fork()
+        if target.constrain(variable, allowed):
+            results.append((out_port, target))
     return results
 
 
@@ -203,20 +191,17 @@ class _PlatformState:
 
         Read from the platform's OpenFlow-style table, so the symbolic
         demux follows exactly the rules the controller installed.
-        Memoized under the fast path: valid while the flow table hands
-        back the same (memoized) branch list and no module was spliced
-        or un-spliced -- any install/remove or (un)splice invalidates
-        it.
+        Memoized: valid while the flow table hands back the same
+        (memoized) branch list and no module was spliced or un-spliced
+        -- any install/remove or (un)splice invalidates it.
         """
         from repro.netmodel.flowtable import ACTION_TO_MODULE
 
         raw = self.platform.flow_table.symbolic_branches()
-        opt = OPT.enabled
-        if opt:
-            cached = self._demux_cache
-            if cached is not None and cached[0] is raw:
-                OPT.memo_hits += 1
-                return cached[1]
+        cached = self._demux_cache
+        if cached is not None and cached[0] is raw:
+            OPT.memo_hits += 1
+            return cached[1]
         slots = self.slots
         branches = []
         for action, residual in raw:
@@ -225,8 +210,6 @@ class _PlatformState:
             slot = slots.get(action.target)
             if slot is not None:
                 branches.append((MODULE_INGRESS_BASE + slot, residual))
-        if not opt:
-            return _Demux(branches, None, frozenset())
         steered: Optional[IntervalSet] = IntervalSet.empty()
         for _port, residual in branches:
             if next(iter(residual), None) != F.IP_DST:
@@ -247,16 +230,14 @@ class _PlatformState:
         key = tuple(sorted(
             (name, addr) for name, (addr, _cfg) in modules.items()
         ))
-        if OPT.enabled:
-            cached = self._egress_cache
-            if cached is not None and cached[0] == key:
-                OPT.memo_hits += 1
-                return cached[1]
+        cached = self._egress_cache
+        if cached is not None and cached[0] == key:
+            OPT.memo_hits += 1
+            return cached[1]
         complement = IntervalSet.from_interval(
             0, (1 << 32) - 1
         ).subtract(IntervalSet.from_values(addr for _name, addr in key))
-        if OPT.enabled:
-            self._egress_cache = (key, complement)
+        self._egress_cache = (key, complement)
         return complement
 
 
@@ -267,8 +248,7 @@ def _platform_model(ctx, node, port, flow):
     remaining = flow
     from_module = port >= MODULE_EGRESS_BASE
     own_ingress = port - MODULE_EGRESS_BASE + MODULE_INGRESS_BASE
-    opt = OPT.enabled
-    if opt and steered is not None and branches:
+    if steered is not None and branches:
         # One test before sixteen: a destination outside every steered
         # address fails each branch's first residual test, so count the
         # prunes the loop below would and skip it.
@@ -283,23 +263,20 @@ def _platform_model(ctx, node, port, flow):
     for ingress_port, residual in branches:
         if from_module and ingress_port == own_ingress:
             continue  # no self-hairpin: a module never feeds itself
-        if opt:
-            # Demux branches are always forks, so an infeasible
-            # residual can be pruned before forking (the seed engine
-            # forked, constrained to death, and dropped it here).
-            infeasible = False
-            for field_name, allowed in residual.items():
-                variable = remaining.packet.var(field_name)
-                if variable is None:
-                    break  # fork path raises, exactly like seed
-                if remaining.domain(variable).intersect(
-                    allowed
-                ).is_empty():
-                    infeasible = True
-                    break
-            if infeasible:
-                OPT.prunes += 1
-                continue
+        # Demux branches are always forks, so an infeasible residual
+        # is pruned before forking (the fork would only be constrained
+        # to death and dropped here).
+        infeasible = False
+        for field_name, allowed in residual.items():
+            variable = remaining.packet.var(field_name)
+            if variable is None:
+                break  # the fork path below raises
+            if remaining.domain(variable).intersect(allowed).is_empty():
+                infeasible = True
+                break
+        if infeasible:
+            OPT.prunes += 1
+            continue
         fork = remaining.fork()
         alive = True
         for field_name, allowed in residual.items():

@@ -62,17 +62,8 @@ _PROTO_WORDS = {
 
 # Clause negation is a pure function of the clause's (immutable)
 # constraint map, so the DNF complement each symbolic classifier model
-# computes per flow can be cached on the clause itself.  The switch
-# exists so the symexec seed-mode baseline (repro.symexec.tuning) can
-# restore compute-per-call behavior for differential comparison.
-_NEGATION_CACHE_ENABLED = True
+# computes per flow can be cached on the clause itself.
 _NEGATION_CACHE_HITS = 0
-
-
-def set_negation_cache(enabled: bool) -> None:
-    """Switch per-clause negation memoization on or off."""
-    global _NEGATION_CACHE_ENABLED
-    _NEGATION_CACHE_ENABLED = bool(enabled)
 
 
 def negation_cache_hits() -> int:
@@ -136,7 +127,7 @@ class Clause:
         callers must treat the returned list as read-only.
         """
         global _NEGATION_CACHE_HITS
-        if _NEGATION_CACHE_ENABLED and self._negated is not None:
+        if self._negated is not None:
             _NEGATION_CACHE_HITS += 1
             return self._negated
         out = []
@@ -144,8 +135,7 @@ class Clause:
             universe = FIELD_UNIVERSES[field]
             complement = universe.subtract(allowed)
             out.append(Clause({field: complement}))
-        if _NEGATION_CACHE_ENABLED:
-            self._negated = out
+        self._negated = out
         return out
 
     def __repr__(self) -> str:

@@ -50,14 +50,7 @@ from repro.symexec.summaries import (
     VerificationCache,
 )
 from repro.symexec.sympacket import SymPacket, SymVar, VarFactory
-from repro.symexec.tuning import (
-    counters,
-    optimizations_enabled,
-    reset_counters,
-    seed_mode,
-    set_optimizations,
-    stats,
-)
+from repro.symexec.tuning import counters, stats
 
 __all__ = [
     "SymVar",
@@ -84,9 +77,5 @@ __all__ = [
     "ReachResult",
     "InvariantViolation",
     "counters",
-    "optimizations_enabled",
-    "reset_counters",
-    "seed_mode",
-    "set_optimizations",
     "stats",
 ]

@@ -55,8 +55,7 @@ class SymFlow:
     """One symbolic flow: packet bindings + constraints + history.
 
     The domains dict and the trace/write logs are plain builtins, but
-    with the fast path on :meth:`fork` shares them between both flows
-    and raises the ``_domains_shared`` / ``_history_shared`` flags;
+    :meth:`fork` shares them between both flows and raises the ``_domains_shared`` / ``_history_shared`` flags;
     every mutator checks its flag and copies first (copy-on-write).
     Readers never pay anything -- they see ordinary dicts and lists.
     """
@@ -99,8 +98,7 @@ class SymFlow:
             narrowed = current.intersect(allowed)
         # With interned results, a vacuous narrowing returns the stored
         # object itself; skipping the store then avoids a pointless
-        # copy-on-write materialization.  (Never skipped in seed mode:
-        # uncached intersect always allocates.)
+        # copy-on-write materialization.
         if narrowed is not current:
             if self._domains_shared:
                 domains = self.domains = dict(domains)
@@ -172,21 +170,13 @@ class SymFlow:
     def fork(self) -> "SymFlow":
         """An observably independent copy of this flow.
 
-        Seed mode copies everything eagerly.  With the fast path on,
-        the fork is O(1): both flows keep referencing the same domains
+        The fork is O(1): both flows keep referencing the same domains
         dict and trace/write lists, and both raise their shared flags,
         so whichever side mutates a structure first copies it then
-        (the common fork-then-die case never copies anything).  Either
-        way, mutations on one side are never visible on the other.
+        (the common fork-then-die case never copies anything).
+        Mutations on one side are never visible on the other.
         """
         OPT.forks += 1
-        if not OPT.enabled:
-            clone = SymFlow(self.packet.copy())
-            clone.domains = dict(self.domains)
-            clone.trace = list(self.trace)
-            clone.writes = list(self.writes)
-            clone.alive = self.alive
-            return clone
         clone = SymFlow.__new__(SymFlow)
         clone.packet = self.packet.copy()
         clone.domains = self.domains
@@ -429,7 +419,7 @@ class Exploration:
         self.dropped: List[SymFlow] = []
         #: Total model evaluations (the linear cost the paper measures).
         self.steps = 0
-        #: Fast-path accounting (deltas of the tuning counters over this
+        #: Work accounting (deltas of the tuning counters over this
         #: exploration): flow forks, branches pruned before forking,
         #: element-model memo hits, and copy-on-write materializations.
         self.forks = 0
@@ -476,7 +466,7 @@ class SymbolicEngine:
         self.max_hops = max_hops
         self.context = ModelContext(graph, self.factory)
         #: Optional :class:`repro.symexec.summaries.SummaryCache`.  When
-        #: set (and the fast path is on), exploration replays composed
+        #: set, exploration replays composed
         #: segment summaries instead of dispatching hop by hop.
         self.summaries = summaries
         #: Observability bundle; defaults to the shared no-op bundle so
@@ -592,9 +582,8 @@ class SymbolicEngine:
         worklist: List[Tuple[str, int, SymFlow]],
         result: Exploration,
     ) -> Exploration:
-        # The worklist loop runs once per model evaluation in *both*
-        # modes (pruning never changes the step count), so everything
-        # here is hoisted into locals: each lookup saved is saved for
+        # The worklist loop runs once per model evaluation (pruning
+        # never changes the step count), so everything here is hoisted into locals: each lookup saved is saved for
         # every step of every exploration.
         graph = self.graph
         models = graph.models
@@ -611,9 +600,9 @@ class SymbolicEngine:
         entry_cls = TraceEntry
         steps = result.steps
         # Composed segment chains are replayed inline below -- byte for
-        # byte the generic path, so gating on OPT keeps seed mode exact.
+        # byte the generic path.
         summaries = self.summaries
-        if summaries is not None and OPT.enabled:
+        if summaries is not None:
             segment_get = summaries.tables_for(graph).segments.get
         else:
             segment_get = None
@@ -630,7 +619,7 @@ class SymbolicEngine:
                         # Per hop this runs the exact per-step protocol
                         # of the generic loop; forks on the chain's one
                         # wired output spill back to the worklist (all
-                        # but the last, which the seed's LIFO pop would
+                        # but the last, which the generic LIFO pop would
                         # process next and which we carry instead), and
                         # outputs on any other port dangle and drop.
                         index = 0
@@ -706,7 +695,7 @@ class SymbolicEngine:
                     current._own_history()
                 packet = current.packet
                 snap = packet._snapshot
-                if snap is None:  # always taken in seed mode
+                if snap is None:
                     snap = packet.snapshot()
                 current.trace.append(
                     entry_cls(current_node, in_port, snap)

@@ -36,11 +36,11 @@ def canonical_flow(flow: SymFlow) -> Tuple:
     """A process-independent, hashable rendering of one flow.
 
     Variable uids come from a process-global counter, so two runs of
-    the *same* exploration (e.g. seed mode vs. the fast path in a
-    differential test) bind different absolute uids.  This renames
+    the *same* exploration (e.g. a differential test's run against the
+    recorded reference) bind different absolute uids.  This renames
     every uid in first-seen order -- scanning the trace snapshots hop
     by hop, then the write log -- which is stable across runs because
-    both modes explore paths in the same order.  Two flows with equal
+    the engine explores paths in a fixed order.  Two flows with equal
     canonical forms have byte-for-byte identical traces, write logs,
     final domains, and liveness up to uid renaming.
     """

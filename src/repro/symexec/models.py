@@ -16,11 +16,12 @@ sets, constants) before the first flow arrives.  The program it returns,
 ``program(ctx, node, in_port, flow) -> [(out_port, flow), ...]``, does
 only the flow-dependent work.  Every element node of a
 :class:`~repro.symexec.engine.SymGraph` runs its compiled program on
-every path -- seed engine, generic worklist and segment replay alike --
-so the model is its own summary (SymNet's transfer functions): one
-description per element class.  Programs read ``OPT.enabled`` when they
-run, never when they are compiled, so one graph explores the same way
-under the fast path and under :func:`~repro.symexec.tuning.seed_mode`.
+every path -- generic worklist and segment replay alike -- so the
+model is its own summary (SymNet's transfer functions): one description
+per element class.  Branches a flow provably cannot take are pruned
+before forking; pruning changes what an exploration costs, never what
+it finds (the golden fixtures under ``tests/symexec/`` hold it to the
+seed engine's recorded output).
 
 Annotation-style fields used by the models:
 
@@ -161,9 +162,8 @@ def clause_infeasible(flow: SymFlow, clause: Clause) -> bool:
     it, so the fork can be skipped outright.  Conservative the other
     way -- aliased fields (two fields bound to one variable) may still
     die under the full sequential narrowing, which the real
-    ``constrain_clause`` then catches exactly as the seed engine did.
-    Fields the packet does not carry make the check pass so the fork
-    path can raise the same error the seed engine raises.
+    ``constrain_clause`` then catches.  Fields the packet does not
+    carry make the check pass so the fork path raises its usual error.
     """
     packet_var = flow.packet.var
     domain = flow.domain
@@ -179,15 +179,13 @@ def clause_infeasible(flow: SymFlow, clause: Clause) -> bool:
 def flows_matching(flow: SymFlow, spec: FlowSpec) -> List[SymFlow]:
     """Forks of ``flow`` constrained to each satisfiable clause.
 
-    With the fast path on, clauses that provably empty the flow are
-    pruned before forking.  A pruned fork is exactly one the seed
-    engine would have created, constrained to death, and discarded
-    inside this function -- it never escapes to the caller either way.
+    Clauses that provably empty the flow are pruned before forking.  A
+    pruned fork is one that would have been constrained to death and
+    discarded inside this function -- it never escapes to the caller.
     """
     out: List[SymFlow] = []
-    opt = OPT.enabled
     for clause in spec.clauses:
-        if opt and clause_infeasible(flow, clause):
+        if clause_infeasible(flow, clause):
             OPT.prunes += 1
             continue
         fork = flow.fork()
@@ -199,13 +197,12 @@ def flows_matching(flow: SymFlow, spec: FlowSpec) -> List[SymFlow]:
 def flows_not_matching(flow: SymFlow, spec: FlowSpec) -> List[SymFlow]:
     """Forks of ``flow`` constrained to the spec's complement (DNF)."""
     remaining = [flow.fork()]
-    opt = OPT.enabled
     for clause in spec.clauses:
         negations = clause.negated_clauses()
         next_remaining: List[SymFlow] = []
         for candidate in remaining:
             for negated in negations:
-                if opt and clause_infeasible(candidate, negated):
+                if clause_infeasible(candidate, negated):
                     OPT.prunes += 1
                     continue
                 fork = candidate.fork()
@@ -318,11 +315,10 @@ def _compile_paint(element):
 @register_program("PaintSwitch")
 def _paintswitch(ctx, node, port, flow):
     variable = ensure_field(ctx, flow, "paint")
-    opt = OPT.enabled
     results = []
     for out_port in ctx.graph.connected_outputs(node) or [0]:
         allowed = IntervalSet.single(out_port)
-        if opt and flow.domain(variable).intersect(allowed).is_empty():
+        if flow.domain(variable).intersect(allowed).is_empty():
             OPT.prunes += 1
             continue
         fork = flow.fork()
@@ -456,8 +452,7 @@ def _decipttl(ctx, node, port, flow):
         expiry_range = IntervalSet.from_interval(0, 1)
         ttl_var = flow.packet.var(F.IP_TTL)
         if (
-            OPT.enabled
-            and ttl_var is not None
+            ttl_var is not None
             and flow.domain(ttl_var).intersect(expiry_range).is_empty()
         ):
             OPT.prunes += 1

@@ -15,8 +15,8 @@ own summary.  Maximal single-wired chains of element nodes -- a
 module's internal pipeline is the canonical case -- are *composed*
 into :class:`SegmentSummary` hop tables the engine replays without
 touching its worklist or the graph's edge dict.  Composition preserves
-the seed engine's DFS order exactly:
-each hop continues with the model's **last** output (the one the seed's
+the generic worklist's DFS order exactly:
+each hop continues with the model's **last** output (the one the
 LIFO worklist would pop next) and spills earlier branches back to the
 worklist at their precomputed successor.
 
@@ -46,11 +46,10 @@ invalidation rules; ``benchmarks/symexec_speedup_check.py
 --incremental`` gates the speedup in CI.
 
 Both layers are **exact**: they change what a verdict costs, never what
-it is.  ``tests/symexec/test_summary_differential.py`` proves verdicts,
-traces and write logs equal to the seed engine byte for byte, and
-:func:`repro.symexec.tuning.seed_mode` bypasses both layers (the engine
-and the controller re-check ``OPT.enabled`` on every use; the element
-programs, which run in both modes, read it on every call).
+it is.  ``tests/symexec/test_summary_differential.py`` holds verdicts,
+traces and write logs, with and without summaries, to the seed engine's
+recorded output (the golden fixtures under ``tests/symexec/``) byte for
+byte.
 """
 
 from __future__ import annotations
@@ -98,8 +97,8 @@ class SegmentSummary(NamedTuple):
 
     The engine replays ``hops`` for one flow at a time: per hop it runs
     the usual arrival bookkeeping, applies the transfer function, spills
-    every output but the last back to its worklist (preserving the seed
-    engine's LIFO order bit for bit) and carries the last output to the
+    every output but the last back to its worklist (preserving the
+    generic worklist's LIFO order bit for bit) and carries the last output to the
     next hop without touching the worklist or the edge dict.
     """
 

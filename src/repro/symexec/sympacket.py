@@ -88,9 +88,8 @@ class SymPacket:
     them before branching (:meth:`copy` is shallow over variables, which
     are immutable).
 
-    With the fast path on (:data:`repro.symexec.tuning.OPT`), copies
-    share the binding dict copy-on-write -- a fork only pays for the
-    dict when one side later rebinds a field -- and :meth:`snapshot`
+    Copies share the binding dict copy-on-write -- a fork only pays for
+    the dict when one side later rebinds a field -- and :meth:`snapshot`
     caches its field->uid dict until the next binding change.
     """
 
@@ -135,17 +134,12 @@ class SymPacket:
 
     def copy(self) -> "SymPacket":
         clone = SymPacket.__new__(SymPacket)
-        if OPT.enabled:
-            # Copy-on-write: share the binding dict (and the cached
-            # snapshot, which only depends on it) until a bind().
-            clone.vars = self.vars
-            clone._shared = True
-            self._shared = True
-            clone._snapshot = self._snapshot
-        else:
-            clone.vars = dict(self.vars)
-            clone._shared = False
-            clone._snapshot = None
+        # Copy-on-write: share the binding dict (and the cached
+        # snapshot, which only depends on it) until a bind().
+        clone.vars = self.vars
+        clone._shared = True
+        self._shared = True
+        clone._snapshot = self._snapshot
         clone.encap_stack = [dict(layer) for layer in self.encap_stack]
         return clone
 
@@ -180,12 +174,9 @@ class SymPacket:
     def snapshot(self) -> Dict[str, int]:
         """field -> variable uid, used for invariant checking.
 
-        With the fast path on the dict is cached (and shared between
-        trace entries taken under the same bindings); treat it as
-        read-only.  Seed mode rebuilds it per call, as before.
+        The dict is cached (and shared between trace entries taken
+        under the same bindings); treat it as read-only.
         """
-        if not OPT.enabled:
-            return {field: var.uid for field, var in self.vars.items()}
         snap = self._snapshot
         if snap is None:
             snap = {field: var.uid for field, var in self.vars.items()}

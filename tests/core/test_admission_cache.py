@@ -20,6 +20,7 @@ from repro.netmodel.symgraph import NetworkCompiler
 from repro.policy import parse_requirement
 from repro.symexec import canonical_flow
 from repro.symexec.reachability import ReachabilityChecker
+from tests.symexec import golden
 
 BATCHER = """
     FromNetfront() ->
@@ -528,8 +529,8 @@ class TestAddressLeak:
 
 
 class TestDecisionEquivalence:
-    """Fast-path decisions must be byte-for-byte those of a
-    from-scratch controller."""
+    """Decisions must be byte-for-byte those of the seed engine's
+    from-scratch controller (``tests/core/golden_decisions.json``)."""
 
     REQUESTS = (
         ("accept", dict(
@@ -557,50 +558,56 @@ class TestDecisionEquivalence:
         )),
     )
 
+    @classmethod
+    def decisions(cls):
+        """Every field of each decision of ``REQUESTS`` on one Figure 3
+        controller, in order."""
+        controller = Controller(figure3_network())
+        out = []
+        for index, (label, kwargs) in enumerate(cls.REQUESTS):
+            result = controller.request(ClientRequest(
+                client_id="c%d" % index,
+                module_name="mod-%s" % label, **kwargs
+            ))
+            out.append(dict(
+                label=label,
+                accepted=result.accepted,
+                platform=result.platform,
+                address=result.address,
+                sandboxed=result.sandboxed,
+                reason=result.reason,
+                reach=[
+                    (str(r.requirement), r.satisfied, r.reason)
+                    for r in result.reach_results
+                ],
+                security=(
+                    str(result.security) if result.security else None
+                ),
+            ))
+        return out
+
+    @classmethod
+    def repeated(cls):
+        """``(accepted, address, platform)`` of three identical
+        admissions on one Figure 3 controller."""
+        controller = Controller(figure3_network())
+        out = []
+        for index in range(3):
+            result = controller.request(ClientRequest(
+                client_id="rep%d" % index,
+                module_name="rep-mod%d" % index, **cls.REQUESTS[0][1]
+            ))
+            out.append((result.accepted, result.address, result.platform))
+        return out
+
     def test_same_decisions_as_from_scratch_controller(self):
-        fast = Controller(figure3_network(), fast_path=True)
-        slow = Controller(figure3_network(), fast_path=False)
-        for index, (label, kwargs) in enumerate(self.REQUESTS):
-            fast_result = fast.request(ClientRequest(
-                client_id="c%d" % index,
-                module_name="mod-%s" % label, **kwargs
-            ))
-            slow_result = slow.request(ClientRequest(
-                client_id="c%d" % index,
-                module_name="mod-%s" % label, **kwargs
-            ))
-            assert fast_result.accepted == slow_result.accepted, label
-            assert fast_result.platform == slow_result.platform, label
-            assert fast_result.address == slow_result.address, label
-            assert fast_result.sandboxed == slow_result.sandboxed, label
-            assert fast_result.reason == slow_result.reason, label
-            fast_reach = [
-                (str(r.requirement), r.satisfied, r.reason)
-                for r in fast_result.reach_results
-            ]
-            slow_reach = [
-                (str(r.requirement), r.satisfied, r.reason)
-                for r in slow_result.reach_results
-            ]
-            assert fast_reach == slow_reach, label
-            if fast_result.security or slow_result.security:
-                assert str(fast_result.security) == str(
-                    slow_result.security
-                ), label
+        seed = golden.decisions()["decisions"]
+        assert [d["label"] for d in seed] == \
+            [label for label, _ in self.REQUESTS]
+        for decision, expected in zip(golden.plain(self.decisions()), seed):
+            assert decision == expected, decision["label"]
 
     def test_repeated_identical_requests_stay_equivalent(self):
-        fast = Controller(figure3_network(), fast_path=True)
-        slow = Controller(figure3_network(), fast_path=False)
-        for index in range(3):
-            kwargs = dict(self.REQUESTS[0][1])
-            fast_result = fast.request(ClientRequest(
-                client_id="rep%d" % index,
-                module_name="rep-mod%d" % index, **kwargs
-            ))
-            slow_result = slow.request(ClientRequest(
-                client_id="rep%d" % index,
-                module_name="rep-mod%d" % index, **kwargs
-            ))
-            assert fast_result.accepted and slow_result.accepted
-            assert fast_result.address == slow_result.address
-            assert fast_result.platform == slow_result.platform
+        repeated = self.repeated()
+        assert all(accepted for accepted, _, _ in repeated)
+        assert golden.plain(repeated) == golden.decisions()["repeated"]

@@ -6,8 +6,7 @@ is unchanged, (b) every routing/flow table in the verdict's reachability
 footprint still carries the version recorded at store time, and (c) no
 module address moved in or out of a range the requirement references.
 These tests drive each clause, plus the satellite edge cases: model
-mutation mid-admission, ``seed_mode()`` round-trips, and
-version-counter overflow/reset -- and what the footprint *is*: one
+mutation mid-admission, explicit invalidation, and version-counter overflow/reset -- and what the footprint *is*: one
 witness's path for a satisfied ``reach``, the whole exploration for
 the universal statements.
 """
@@ -16,7 +15,6 @@ from repro.click import parse_config
 from repro.core import ClientRequest, Controller, ROLE_CLIENT
 from repro.netmodel.examples import star_network
 from repro.netmodel.routing import RoutingTable
-from repro.symexec.tuning import seed_mode
 
 MODULE_CONFIG = """
     FromNetfront() ->
@@ -192,29 +190,6 @@ class TestInvalidation:
             assert after["invalidations"] - before["invalidations"] >= 1
         finally:
             platform.modules.pop("ghost", None)
-
-
-class TestSeedModeRoundTrip:
-    def test_seed_mode_disables_and_restores_caching(self):
-        controller = Controller(star_network(3), policy(3))
-        with seed_mode():
-            seed_results = verdicts(controller.verify_snapshot())
-            assert cache_stats(controller)["stores"] == 0
-            assert cache_stats(controller)["hits"] == 0
-        warm_results = verdicts(controller.verify_snapshot())
-        assert cache_stats(controller)["stores"] == 3
-        assert seed_results == warm_results
-        controller.verify_snapshot()
-        assert cache_stats(controller)["hits"] == 3
-
-    def test_fast_path_off_never_touches_the_caches(self):
-        controller = Controller(
-            star_network(3), policy(3), fast_path=False
-        )
-        controller.verify_snapshot()
-        stats = cache_stats(controller)
-        assert stats["stores"] == stats["hits"] == 0
-        assert controller._summaries is None
 
     def test_invalidate_model_cache_flushes_everything(self):
         controller = Controller(star_network(3), policy(3))

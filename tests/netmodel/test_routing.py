@@ -157,23 +157,17 @@ class TestOverlappingIndex:
         assert t.overlapping(IntervalSet.from_interval(0, 2 ** 32 - 1)) \
             == [0, 1]
 
-    def test_seed_mode_never_builds_the_index(self):
+    def test_wide_split_verification_builds_the_index(self):
         from repro.core import Controller
         from repro.netmodel.examples import star_network
         from repro.netmodel.symgraph import WIDE_SPLIT
-        from repro.symexec.tuning import seed_mode
 
         policy = "\n".join(
             "reach from internet udp dst net 192.0.%d.0/24 -> platform%d"
             % (index + 1, index) for index in range(WIDE_SPLIT)
         )
-        with seed_mode():
-            controller = Controller(star_network(WIDE_SPLIT), policy)
-            assert all(controller.verify_snapshot())
-            hub = controller.network.node("r0").table
-            assert len(hub.symbolic_split()) >= WIDE_SPLIT
-            assert hub._index_cache is None
-        # The same verification with the fast path on is what uses it.
         controller = Controller(star_network(WIDE_SPLIT), policy)
         assert all(controller.verify_snapshot())
-        assert controller.network.node("r0").table._index_cache is not None
+        hub = controller.network.node("r0").table
+        assert len(hub.symbolic_split()) >= WIDE_SPLIT
+        assert hub._index_cache is not None

@@ -190,3 +190,78 @@ class TestSuspendResumeRetries:
         sim.suspend_resume_cycle("c")
         # Two backoffs (0.01 + 0.02) plus the cycle itself.
         assert sim.loop.now - before > 0.03
+
+
+class TestSwitchResumeFaults:
+    """The event-driven resume path: a packet for a suspended VM
+    starts a resume, and injected ``resume`` faults send the VM back
+    to SUSPENDED (``VM.abort_resume``) until the retry budget runs
+    out (``SwitchController._resume_failed``)."""
+
+    def _suspended(self, injector):
+        from repro.platform.clickos import PlatformSim
+        from repro.platform.vm import VM_SUSPENDED
+
+        obs = Observability()
+        sim = PlatformSim(
+            obs=obs, injector=injector,
+            retry_policy=RetryPolicy(max_attempts=3,
+                                     base_delay_s=0.01, jitter=0.0),
+        )
+        sim.register_client("c", stateful=True)
+        sim.force_boot("c")
+        vm = sim.switch.client_vms["c"]
+        sim.switch.suspend_idle(vm)
+        sim.loop.run()
+        assert vm.state == VM_SUSPENDED
+        return sim, vm, obs
+
+    def _send_two(self, sim):
+        delivered = []
+        sim.switch.packet_for("c", lambda: delivered.append(1))
+        # The second packet parks behind the resume already running.
+        sim.switch.packet_for("c", lambda: delivered.append(2))
+        sim.loop.run()
+        return delivered
+
+    def test_one_failure_retries_then_delivers_the_waiters(self):
+        from repro.platform.vm import VM_RUNNING
+
+        injector = FaultInjector(seed=1)
+        sim, vm, obs = self._suspended(injector)
+        injector.fail_next("resume", times=1)
+        assert self._send_two(sim) == [1, 2]
+        assert vm.state == VM_RUNNING
+        assert vm.resume_count == 1
+        assert sim.switch.resume_failures_seen == 1
+        text = obs.to_prometheus()
+        assert 'resilience_retries_total{op="resume"} 1' in text
+        assert 'resilience_retry_exhausted_total{op="resume"}' not in text
+
+    def test_exhausted_budget_drops_the_waiters(self):
+        from repro.platform.vm import VM_RUNNING, VM_SUSPENDED
+
+        injector = FaultInjector(seed=1)
+        sim, vm, obs = self._suspended(injector)
+        injector.fail_next("resume", times=3)
+        assert self._send_two(sim) == []
+        assert vm.state == VM_SUSPENDED  # spooled image kept
+        assert vm.resume_count == 0
+        assert sim.switch.resume_failures_seen == 3
+        text = obs.to_prometheus()
+        assert 'resilience_retries_total{op="resume"} 2' in text
+        assert 'resilience_retry_exhausted_total{op="resume"} 1' in text
+        # The dropped packets stay dropped; the next one resumes it.
+        assert self._send_two(sim) == [1, 2]
+        assert vm.state == VM_RUNNING
+
+    @pytest.mark.parametrize("state", ["running", "suspended"])
+    def test_abort_resume_outside_resuming_raises(self, state):
+        from repro.common.errors import SimulationError
+
+        _sim, vm, _obs = self._suspended(FaultInjector(seed=1))
+        if state == "running":
+            vm.begin_resume()
+            vm.finish_resume(0.0)
+        with pytest.raises(SimulationError):
+            vm.abort_resume()

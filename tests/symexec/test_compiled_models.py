@@ -3,11 +3,10 @@
 Every element class registers one model, a *compiler*:
 ``model_for(class_name)(element)`` binds the element's parsed
 configuration into the program its graph node runs, on every path --
-seed engine, generic worklist and segment replay.  These tests hold the
-registry to every element class, pin which program a node runs, and
-check that programs read the fast-path switch when they run, not when
-they are compiled: a graph built in one mode explores exactly like a
-graph built in the other.
+generic worklist and segment replay.  These tests hold the registry to
+every element class, pin which program a node runs, and check that a
+program compiled once explores the same on every later call, matching
+the seed engine's recorded output (see :mod:`tests.symexec.golden`).
 """
 
 import pytest
@@ -19,12 +18,13 @@ from repro.netmodel.examples import figure3_network
 from repro.policy import parse_requirement
 from repro.symexec import SummaryCache, SymbolicEngine, SymGraph, model_for
 from repro.symexec import models
-from repro.symexec.tuning import seed_mode
 from tests.click.test_batch_differential import SPECS, build_config
+from tests.symexec import golden
 from tests.symexec.test_differential import (
     CLICK_SCENARIOS,
     NETWORK_SCENARIOS,
     canonical_exploration,
+    network_golden,
 )
 
 
@@ -70,10 +70,6 @@ class TestRegistry:
             for mode_summaries in (None, SummaryCache()):
                 del calls[:]
                 SymbolicEngine(graph, summaries=mode_summaries).inject(entry)
-                assert "dut" in calls, class_name
-            with seed_mode():
-                del calls[:]
-                SymbolicEngine(graph).inject(entry)
                 assert "dut" in calls, class_name
 
     def test_config_free_classes_share_one_program(self):
@@ -146,8 +142,8 @@ class TestRegistry:
 
 def work(exploration):
     """The canonical exploration plus its fork and prune counts: a
-    program that read the switch when compiled would prune (and skip
-    forks) in the wrong mode, which the flows alone cannot show."""
+    program that kept state from an earlier call would prune (or skip
+    forks) differently, which the flows alone cannot show."""
     return canonical_exploration(exploration) + (
         exploration.forks, exploration.pruned,
     )
@@ -175,7 +171,7 @@ def network_exploration(factory, requirement_text, compiled=None,
 
 #: The differential scenarios, plus one whose pruning happens inside a
 #: program: a TTL set above 1 makes DecIPTTL's expiry branch provably
-#: empty, which the fast path prunes and seed mode forks and discards.
+#: empty, which the engine prunes before forking.
 SCENARIOS = dict(CLICK_SCENARIOS, **{
     "ttl-expiry-pruned": """
         src :: FromNetfront();
@@ -187,37 +183,40 @@ SCENARIOS = dict(CLICK_SCENARIOS, **{
 
 
 class TestCompileTimeVersusCallTime:
-    """A program compiled under one mode explores under the other
-    exactly like a program compiled there."""
+    """A program is compiled once, when its element joins a graph, and
+    runs on every call: a graph explored again -- plain and through
+    summaries -- does exactly the work of a freshly built one, and
+    matches the seed engine's recorded output."""
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_click_graphs(self, name):
         source = SCENARIOS[name]
-        built_fast = SymGraph.from_click(parse_config(source))
-        with seed_mode():
-            built_seed = SymGraph.from_click(parse_config(source))
-            seed = click_exploration(source)
-            assert click_exploration(source, built_fast) == seed
-        fast = click_exploration(source, summaries=SummaryCache())
+        built = SymGraph.from_click(parse_config(source))
+        fresh = click_exploration(source)
+        assert click_exploration(source, built) == fresh
+        assert click_exploration(source, built) == fresh
+        summarized = click_exploration(source, summaries=SummaryCache())
         assert click_exploration(
-            source, built_seed, summaries=SummaryCache()
-        ) == fast
+            source, built, summaries=SummaryCache()
+        ) == summarized
+        assert golden.digest(fresh[:3]) == \
+            golden.explorations()["click"][name]
 
     @pytest.mark.parametrize(
-        "factory,requirement", NETWORK_SCENARIOS,
+        "index", range(len(NETWORK_SCENARIOS)),
         ids=[req for _, req in NETWORK_SCENARIOS],
     )
-    def test_network_graphs(self, factory, requirement):
-        built_fast = NetworkCompiler(factory()).compile()
-        with seed_mode():
-            built_seed = NetworkCompiler(factory()).compile()
-            seed = network_exploration(factory, requirement)
-            assert network_exploration(
-                factory, requirement, built_fast
-            ) == seed
-        fast = network_exploration(
+    def test_network_graphs(self, index):
+        factory, requirement = NETWORK_SCENARIOS[index]
+        built = NetworkCompiler(factory()).compile()
+        fresh = network_exploration(factory, requirement)
+        assert network_exploration(factory, requirement, built) == fresh
+        assert network_exploration(factory, requirement, built) == fresh
+        summarized = network_exploration(
             factory, requirement, summaries=SummaryCache()
         )
         assert network_exploration(
-            factory, requirement, built_seed, summaries=SummaryCache()
-        ) == fast
+            factory, requirement, built, summaries=SummaryCache()
+        ) == summarized
+        assert golden.digest(fresh[:3]) == \
+            network_golden(index)["exploration"]

@@ -1,14 +1,15 @@
-"""Differential tests: the fast path is byte-for-byte the seed engine.
+"""Differential tests: the engine is byte-for-byte the seed engine.
 
-Every optimization behind :data:`repro.symexec.tuning.OPT` --
-copy-on-write forking, interned interval domains, memoized element
-models, infeasible-branch pruning -- claims to change *cost only*.
-These tests hold it to that: each scenario runs twice, once optimized
-and once under :func:`seed_mode`, and the two explorations must agree
-on every delivered and dropped flow's trace, write log, domains and
-liveness (via :func:`canonical_flow`, which renames variable uids in
-first-seen order so process-global uid allocation cannot hide or fake
-a difference), in the same order, with the same step count.
+The engine's cost layers -- copy-on-write forking, interned interval
+domains, memoized element models, infeasible-branch pruning -- claim
+to change *cost only*.  These tests hold it to that against the seed
+engine's recorded output (``golden_explorations.json``, see
+:mod:`tests.symexec.golden`): every scenario must agree on every
+delivered and dropped flow's trace, write log, domains and liveness
+(via :func:`canonical_flow`, which renames variable uids in first-seen
+order so process-global uid allocation cannot hide or fake a
+difference), in the same order, with the same step count, and on the
+verdict and its reason.
 """
 
 import pytest
@@ -20,7 +21,7 @@ from repro.netmodel.examples import figure3_network, linear_network
 from repro.policy import parse_requirement
 from repro.symexec import SymbolicEngine, SymGraph, canonical_flow
 from repro.symexec.reachability import ReachabilityChecker
-from repro.symexec.tuning import seed_mode
+from tests.symexec import golden
 
 FIGURE4_SOURCE = """
     FromNetfront() ->
@@ -71,17 +72,24 @@ NETWORK_SCENARIOS = [
 ]
 
 
+def network_golden(index):
+    """The pinned entry for ``NETWORK_SCENARIOS[index]``."""
+    entry = golden.explorations()["network"][index]
+    assert entry["requirement"] == NETWORK_SCENARIOS[index][1]
+    return entry
+
+
 class TestNetworkExplorations:
     @pytest.mark.parametrize(
-        "factory,requirement", NETWORK_SCENARIOS,
+        "index", range(len(NETWORK_SCENARIOS)),
         ids=[req for _, req in NETWORK_SCENARIOS],
     )
-    def test_seed_and_optimized_agree(self, factory, requirement):
-        optimized, opt_verdict = explore_network(factory(), requirement)
-        with seed_mode():
-            seed, seed_verdict = explore_network(factory(), requirement)
-        assert optimized == seed
-        assert opt_verdict == seed_verdict
+    def test_seed_and_optimized_agree(self, index):
+        factory, requirement = NETWORK_SCENARIOS[index]
+        seed = network_golden(index)
+        optimized, verdict = explore_network(factory(), requirement)
+        assert golden.digest(optimized) == seed["exploration"]
+        assert golden.plain(verdict) == seed["verdict"]
 
 
 #: Click configurations covering every element-model family the engine
@@ -131,11 +139,21 @@ def explore_click(source):
 class TestClickExplorations:
     @pytest.mark.parametrize("name", sorted(CLICK_SCENARIOS))
     def test_seed_and_optimized_agree(self, name):
-        source = CLICK_SCENARIOS[name]
-        optimized = explore_click(source)
-        with seed_mode():
-            seed = explore_click(source)
-        assert optimized == seed
+        optimized = explore_click(CLICK_SCENARIOS[name])
+        assert golden.digest(optimized) == \
+            golden.explorations()["click"][name]
+
+
+#: The two cold admissions of the Figure 4 module: one the engine
+#: accepts, and one it must reject -- the module filters to udp port
+#: 1500, so tcp cannot reach it -- for a stated reason.
+ADMISSIONS = {
+    "accepted": (
+        "reach from internet udp -> client dst port 1500\n"
+        "reach from client -> internet"
+    ),
+    "rejected": "reach from internet tcp -> client dst port 80",
+}
 
 
 def admit(requirements):
@@ -152,24 +170,18 @@ def admit(requirements):
     return result.accepted, result.reason
 
 
+def admission_golden(label):
+    """The pinned ``(accepted, reason)`` of ``ADMISSIONS[label]``."""
+    return tuple(golden.explorations()["admission"][label])
+
+
 class TestControllerAdmission:
     def test_accepted_admission_agrees(self):
-        requirements = (
-            "reach from internet udp -> client dst port 1500\n"
-            "reach from client -> internet"
-        )
-        optimized = admit(requirements)
-        with seed_mode():
-            seed = admit(requirements)
-        assert optimized == seed
+        optimized = admit(ADMISSIONS["accepted"])
+        assert optimized == admission_golden("accepted")
         assert optimized[0] is True
 
     def test_rejected_admission_agrees(self):
-        # The module filters to udp port 1500, so tcp cannot reach it:
-        # both engines must reject, for the same stated reason.
-        requirements = "reach from internet tcp -> client dst port 80"
-        optimized = admit(requirements)
-        with seed_mode():
-            seed = admit(requirements)
-        assert optimized == seed
+        optimized = admit(ADMISSIONS["rejected"])
+        assert optimized == admission_golden("rejected")
         assert optimized[0] is False

@@ -4,6 +4,7 @@ from repro.click import parse_config
 from repro.policy import parse_requirement
 from repro.symexec import SymbolicEngine, SymGraph
 from repro.symexec.reachability import ReachabilityChecker, domain_at
+from tests.symexec import golden
 
 
 def check(source, requirement_text, namespace="mod", inject="mod/src"):
@@ -116,6 +117,17 @@ SPLIT = """
 """
 
 
+def always_verdicts():
+    """``(satisfied, reason)`` of ``always`` through the waypoint, for
+    a tcp and a udp target flow."""
+    results = [
+        check(SPLIT, "always from internet -> mod:w:0 -> mod:dst:0 %s"
+              % proto)
+        for proto in ("tcp", "udp")
+    ]
+    return [(r.satisfied, r.reason) for r in results]
+
+
 class TestAlwaysWithTargetFlow:
     """``always`` with a flow on the target hop: only flows that may
     carry target-matching packets (overlap) must cross the waypoint."""
@@ -140,16 +152,7 @@ class TestAlwaysWithTargetFlow:
         assert 17 in proto and 6 not in proto
         assert "without traversing" in result.reason
 
-    def test_verdicts_equal_under_seed_mode(self):
-        from repro.symexec.tuning import seed_mode
-
-        requirements = [
-            "always from internet -> mod:w:0 -> mod:dst:0 %s" % proto
-            for proto in ("tcp", "udp")
-        ]
-        fast = [check(SPLIT, text) for text in requirements]
-        with seed_mode():
-            seed = [check(SPLIT, text) for text in requirements]
-        assert [r.satisfied for r in fast] == [True, False]
-        assert [r.satisfied for r in seed] == [r.satisfied for r in fast]
-        assert [r.reason for r in seed] == [r.reason for r in fast]
+    def test_verdicts_match_the_seed_engine(self):
+        verdicts = always_verdicts()
+        assert [satisfied for satisfied, _ in verdicts] == [True, False]
+        assert golden.plain(verdicts) == golden.explorations()["always"]

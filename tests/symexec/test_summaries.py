@@ -18,7 +18,6 @@ from repro.symexec import (
     SymGraph,
     model_for,
 )
-from repro.symexec.tuning import seed_mode
 
 PIPELINE = """
     src :: FromNetfront();
@@ -242,17 +241,6 @@ class TestSegmentComposition:
         )
         assert canon(summarized.inject("src")) == \
             canon(plain.inject("src"))
-
-    def test_seed_mode_bypasses_summaries(self):
-        cache = SummaryCache()
-        engine = SymbolicEngine(pipeline_graph(), summaries=cache)
-        with seed_mode():
-            engine.inject("src")
-        # The tables were never consulted, let alone built.
-        assert cache.stats()["misses"] == 0
-        assert cache.stats()["hits"] == 0
-        engine.inject("src")
-        assert cache.stats()["misses"] == 1
 
 
 class TestInstrumentation:

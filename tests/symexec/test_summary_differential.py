@@ -1,12 +1,13 @@
 """Differential tests: summary-composed exploration is byte-for-byte
 the seed engine.
 
-Mirror of ``test_differential.py`` for the summary tier (PR 10's
-compositional transfer functions + segment replay): every scenario runs
-three ways -- through an engine carrying a :class:`SummaryCache`, with
-the plain fast path, and under :func:`seed_mode` -- and all three must
-agree on every delivered and dropped flow's canonical form, in the same
-order, with the same step count, and on the final verdict.
+Mirror of ``test_differential.py`` for the summary tier (compositional
+transfer functions + segment replay): every scenario runs two ways --
+through an engine carrying a :class:`SummaryCache` and through the
+plain worklist -- and both must agree with the seed engine's recorded
+output (see :mod:`tests.symexec.golden`) on every delivered and dropped
+flow's canonical form, in the same order, with the same step count,
+and on the final verdict.
 """
 
 import pytest
@@ -14,25 +15,20 @@ import pytest
 from repro.click import parse_config
 from repro.core import ClientRequest, Controller, ROLE_CLIENT
 from repro.netmodel import NetworkCompiler
-from repro.netmodel.examples import (
-    figure3_network,
-    linear_network,
-    star_network,
-)
+from repro.netmodel.examples import star_network
 from repro.policy import parse_requirement
-from repro.symexec import (
-    SummaryCache,
-    SymbolicEngine,
-    SymGraph,
-    canonical_flow,
-)
+from repro.symexec import SummaryCache, SymbolicEngine, SymGraph
 from repro.symexec.reachability import ReachabilityChecker
-from repro.symexec.tuning import seed_mode
+from tests.symexec import golden
 from tests.symexec.test_differential import (
+    ADMISSIONS,
     CLICK_SCENARIOS,
     FIGURE4_SOURCE,
     NETWORK_SCENARIOS,
+    admission_golden,
+    admit,
     canonical_exploration,
+    network_golden,
 )
 
 #: One shared cache across all scenarios: cross-scenario reuse of
@@ -57,20 +53,20 @@ def explore_network_summarized(net, requirement_text, cache):
 
 class TestNetworkExplorations:
     @pytest.mark.parametrize(
-        "factory,requirement", NETWORK_SCENARIOS,
+        "index", range(len(NETWORK_SCENARIOS)),
         ids=[req for _, req in NETWORK_SCENARIOS],
     )
-    def test_summarized_matches_seed(self, factory, requirement):
+    def test_summarized_matches_seed(self, index):
+        factory, requirement = NETWORK_SCENARIOS[index]
         summarized = explore_network_summarized(
             factory(), requirement, SHARED_CACHE
         )
         plain = explore_network_summarized(factory(), requirement, None)
-        with seed_mode():
-            seed = explore_network_summarized(
-                factory(), requirement, None
-            )
         assert summarized == plain
-        assert summarized == seed
+        seed = network_golden(index)
+        exploration, verdict = summarized
+        assert golden.digest(exploration) == seed["exploration"]
+        assert golden.plain(verdict) == seed["verdict"]
 
 
 class TestClickExplorations:
@@ -89,69 +85,53 @@ class TestClickExplorations:
 
         summarized = run(SHARED_CACHE)
         plain = run(None)
-        with seed_mode():
-            seed = run(None)
         assert summarized == plain
-        assert summarized == seed
+        assert golden.digest(summarized) == \
+            golden.explorations()["click"][name]
 
 
-def admit(requirements, fast_path):
-    """One cold dry-run admission on a fresh Figure 3 controller.
+#: The operator policy and request of the repeat-admission sequence.
+REPEAT_POLICY = (
+    "reach from internet udp dst net 192.0.1.0/24 -> platform0\n"
+    "reach from internet udp dst net 192.0.3.0/24 -> platform2"
+)
+REPEAT_REQUEST = ClientRequest(
+    client_id="alice",
+    role=ROLE_CLIENT,
+    config_source=FIGURE4_SOURCE,
+    requirements="reach from client -> internet",
+    owned_addresses=("172.16.15.133",),
+    module_name="batcher",
+)
 
-    ``fast_path=True`` controllers carry the summary + verification
-    caches; the admission verdict must not depend on any of it.
-    """
-    controller = Controller(figure3_network(), fast_path=fast_path)
-    result = controller.request(ClientRequest(
-        client_id="alice",
-        role=ROLE_CLIENT,
-        config_source=FIGURE4_SOURCE,
-        requirements=requirements,
-        owned_addresses=("172.16.15.133",),
-        module_name="batcher",
-    ), dry_run=True)
+
+def repeat_admission():
+    """``(accepted, reason)`` of one dry run on a fresh star controller."""
+    controller = Controller(star_network(4), REPEAT_POLICY)
+    result = controller.request(REPEAT_REQUEST, dry_run=True)
     return result.accepted, result.reason
 
 
 class TestControllerAdmission:
-    @pytest.mark.parametrize("requirements,expected", [
-        ("reach from internet udp -> client dst port 1500\n"
-         "reach from client -> internet", True),
-        ("reach from internet tcp -> client dst port 80", False),
+    @pytest.mark.parametrize("label,expected", [
+        ("accepted", True), ("rejected", False),
     ], ids=["accepted", "rejected"])
-    def test_summarized_admission_agrees(self, requirements, expected):
-        summarized = admit(requirements, fast_path=True)
-        plain = admit(requirements, fast_path=False)
-        with seed_mode():
-            seed = admit(requirements, fast_path=True)
-        assert summarized == plain == seed
+    def test_summarized_admission_agrees(self, label, expected):
+        summarized = admit(ADMISSIONS[label])
+        assert summarized == admission_golden(label)
         assert summarized[0] is expected
 
     def test_repeat_admissions_are_cache_stable(self):
         # The second identical dry run hits the verdict cache for the
         # operator policy; its outcome must match the first exactly,
-        # and a cache-free controller must agree.
-        policy = (
-            "reach from internet udp dst net 192.0.1.0/24 -> platform0\n"
-            "reach from internet udp dst net 192.0.3.0/24 -> platform2"
-        )
-        controller = Controller(star_network(4), policy)
-        request = ClientRequest(
-            client_id="alice",
-            role=ROLE_CLIENT,
-            config_source=FIGURE4_SOURCE,
-            requirements="reach from client -> internet",
-            owned_addresses=("172.16.15.133",),
-            module_name="batcher",
-        )
-        first = controller.request(request, dry_run=True)
-        second = controller.request(request, dry_run=True)
+        # and the seed engine's cold controller must agree.
+        controller = Controller(star_network(4), REPEAT_POLICY)
+        first = controller.request(REPEAT_REQUEST, dry_run=True)
+        second = controller.request(REPEAT_REQUEST, dry_run=True)
         assert (first.accepted, first.reason) == \
             (second.accepted, second.reason)
-        cold = Controller(star_network(4), policy, fast_path=False)
-        third = cold.request(request, dry_run=True)
-        assert (first.accepted, first.reason) == \
-            (third.accepted, third.reason)
+        seed = tuple(golden.decisions()["repeat_admission"])
+        assert (first.accepted, first.reason) == seed
 
     def test_snapshot_verdicts_survive_cache_warmup(self):
         policy = "\n".join(
