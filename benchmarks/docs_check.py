@@ -3,7 +3,7 @@
 Walks every Markdown page the repository publishes (``README.md`` and
 ``docs/*.md``), checks that each relative link points at a file that
 exists and each ``#fragment`` at a heading that exists, then runs the
-``>>>`` code blocks in ``docs/symexec.md`` as doctests.  Run by the
+``>>>`` code blocks of the ``DOCTEST_PAGES`` as doctests.  Run by the
 ``docs-check`` CI job::
 
     PYTHONPATH=src python benchmarks/docs_check.py
@@ -29,6 +29,7 @@ PAGES = [REPO / "README.md"] + sorted((REPO / "docs").glob("*.md"))
 
 #: Pages whose ``>>>`` blocks are executed.
 DOCTEST_PAGES = [
+    REPO / "docs" / "dataplane.md",
     REPO / "docs" / "symexec.md",
     REPO / "docs" / "symexec-summaries.md",
 ]

@@ -112,7 +112,11 @@ class Element:
     def __init__(self, name: str, args: Optional[Sequence[str]] = None):
         self.name = name
         self.args = [str(a) for a in (args or [])]
-        self.runtime = None  # assigned by the Runtime constructor
+        #: The owning runtime as a ``weakref.proxy`` (assigned by the
+        #: Runtime constructor), so elements never keep it alive: a
+        #: dropped runtime is freed by refcount, not by the cyclic GC.
+        #: ``None`` outside a runtime.
+        self.runtime = None
         self.configure(self.args)
 
     # -- configuration hooks -------------------------------------------------
@@ -222,19 +226,30 @@ class Element:
     # -- helpers ---------------------------------------------------------------
     def emit(self, port: int, packet) -> None:
         """Asynchronously emit a packet (for timer-driven elements)."""
-        if self.runtime is None:
-            raise ConfigError(
-                "element %r emitted outside a runtime" % (self.name,)
-            )
-        self.runtime.deliver_from(self, port, packet)
+        runtime = self.runtime
+        if runtime is None:
+            raise self._outside_runtime("emitted")
+        try:
+            deliver = runtime.deliver_from
+        except ReferenceError:  # the runtime has been dropped
+            raise self._outside_runtime("emitted") from None
+        deliver(self, port, packet)
 
     def schedule(self, delay: float, callback) -> None:
         """Schedule ``callback()`` after ``delay`` simulated seconds."""
-        if self.runtime is None:
-            raise ConfigError(
-                "element %r scheduled outside a runtime" % (self.name,)
-            )
-        self.runtime.schedule(delay, callback)
+        runtime = self.runtime
+        if runtime is None:
+            raise self._outside_runtime("scheduled")
+        try:
+            schedule = runtime.schedule
+        except ReferenceError:  # the runtime has been dropped
+            raise self._outside_runtime("scheduled") from None
+        schedule(delay, callback)
+
+    def _outside_runtime(self, verb: str) -> ConfigError:
+        return ConfigError(
+            "element %r %s outside a runtime" % (self.name, verb)
+        )
 
     def require_args(
         self, args: Sequence[str], minimum: int, maximum: Optional[int] = None

@@ -95,24 +95,28 @@ class Queue(Element):
 
 
 class _QueueFedElement(Element):
-    """Base for pull-side elements: binds to upstream Queue instances."""
+    """Base for pull-side elements: drains upstream Queue instances.
+
+    It holds the queues' buffers, not the queues: each queue holds this
+    element's listener, so holding the queue as well would be a
+    reference cycle, left to the cyclic GC with whatever it buffers.
+    """
 
     def initialize(self, runtime) -> None:
-        self.upstream_queues: List[Queue] = []
+        self._upstream_buffers: List[Deque] = []
         for name, _port in runtime.config.predecessors(self.name, 0):
             element = runtime.elements[name]
             if isinstance(element, Queue):
                 element.add_listener(self._on_enqueue)
-                self.upstream_queues.append(element)
+                self._upstream_buffers.append(element.buffer)
 
     def _on_enqueue(self) -> None:
         """Called when an upstream queue receives a packet."""
 
     def _pull_one(self):
-        for queue in self.upstream_queues:
-            packet = queue.pull()
-            if packet is not None:
-                return packet
+        for buffer in self._upstream_buffers:
+            if buffer:
+                return buffer.popleft()
         return None
 
 

@@ -24,12 +24,19 @@ seconds), and a queue-depth gauge sampled from buffering elements at
 snapshot time.  The executors report to an accounting sink
 (:mod:`repro.click.accounting`); with ``obs=None`` (the default) there
 is no sink and the loops pay one local ``is None`` test per event.
+
+**Lifetime.**  A runtime is not part of any reference cycle: it owns
+its elements, plans, executors and timers, and they reach it only
+through a ``weakref.proxy``.  Dropping the last outside reference
+frees the runtime, its ``output`` records and their packets at once,
+by reference counting, instead of leaving them to the cyclic GC.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -108,6 +115,11 @@ class Runtime:
     >>> rt.inject("src", Packet())
     >>> len(rt.output)
     1
+
+    Elements see the runtime weakly (``element.runtime`` is a
+    ``weakref.proxy``), so the caller's reference is what keeps it
+    alive; an element that outlives its runtime raises ``ConfigError``
+    when it emits or schedules.
     """
 
     def __init__(
@@ -125,9 +137,11 @@ class Runtime:
         self._event_counter = itertools.count()
         self._timers: List[Tuple[float, int, Callable[[], None]]] = []
         self.elements: Dict[str, Element] = {}
+        # Weak, so the runtime is in no reference cycle ("Lifetime").
+        proxy = weakref.proxy(self)
         for name, decl in config.elements.items():
             element = create_element(decl.class_name, name, decl.args)
-            element.runtime = self
+            element.runtime = proxy
             self.elements[name] = element
         # Adjacency map for fast edge lookup: (src, port) -> (dst, port).
         self._adjacency: Dict[Tuple[str, int], Tuple[str, int]] = {
@@ -214,8 +228,9 @@ class Runtime:
             return
         if at < self.now:
             raise SimulationError("cannot inject in the past")
+        rt = weakref.proxy(self)  # the timer must not keep us alive
         self.schedule(
-            at - self.now, lambda: self.inject(element, packet, port)
+            at - self.now, lambda: rt.inject(element, packet, port)
         )
 
     def deliver_from(self, element: Element, port: int, packet) -> None:
@@ -268,9 +283,10 @@ class Runtime:
         if at is not None:
             if at < self.now:
                 raise SimulationError("cannot inject in the past")
+            rt = weakref.proxy(self)  # the timer must not keep us alive
             self.schedule(
                 at - self.now,
-                lambda: self.inject_batch(element, packets, port),
+                lambda: rt.inject_batch(element, packets, port),
             )
         elif self._acct is not None and self._acct.per_packet:
             for packet in packets:
@@ -355,8 +371,11 @@ class Runtime:
         Everything hot is bound as a closure variable so neither loop
         chases ``self`` attributes per packet, and the accounting
         sink's events are locals that are ``None`` when obs is off.
+        The closures are stored on the runtime, so they reach it only
+        through a weak proxy (a bound method of ``self`` would be a
+        strong reference, hence a cycle).
         """
-        rt = self
+        rt = weakref.proxy(self)
         acct = self._acct
         egress = end = unrouted = None
         pushes = {name: e.push for name, e in self.elements.items()}
@@ -366,7 +385,6 @@ class Runtime:
         sink_names = self._sink_names
         adjacency_get = self._adjacency.get
         plans = self._plans
-        compile_plan = self._compile_plan
         output_append = self.output.append
         output_extend = self.output.extend
         record = EgressRecord
@@ -471,7 +489,7 @@ class Runtime:
                 try:
                     plan = plans[(name, in_port)]
                 except KeyError:
-                    plan = compile_plan((name, in_port))
+                    plan = rt._compile_plan((name, in_port))
                 emitted = None
                 if plan.column_fields is not None and len(pkts) >= min_batch:
                     emitted = run_columns(plan, pkts, entry, now)

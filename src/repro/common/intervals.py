@@ -53,6 +53,12 @@ _SUB_RESULTS: Dict[Tuple[int, int], "IntervalSet"] = {}
 #: id names one interval tuple forever: clearing the caches can orphan
 #: ids but can never alias two values to one key.
 _NEXT_ID = 0
+#: ``_NEXT_ID`` at the last clear.  A stamp below it was issued before
+#: the clear and counts as absent: every clear empties the result caches
+#: too, so such a stamp can only miss, and the miss re-stamps the set
+#: before computing.  A stamped set and a value-equal fresh one thus
+#: never key the result caches differently, and hits pay nothing.
+_FLOOR = 0
 #: Caches are cleared wholesale when they exceed this bound; real
 #: workloads stay far below it, so this is an anti-leak backstop, not an
 #: eviction policy.
@@ -74,10 +80,19 @@ def clear_result_cache() -> None:
     >>> a.intersect(b).intervals == cached.intervals
     True
     """
+    global _FLOOR
     _INTERN.clear()
     _AND_RESULTS.clear()
     _OR_RESULTS.clear()
     _SUB_RESULTS.clear()
+    _FLOOR = _NEXT_ID
+
+
+def _restamp(*values: "IntervalSet") -> None:
+    """Re-intern ``values`` whose stamps predate the last clear."""
+    for value in values:
+        if value._intern_id < _FLOOR:
+            intern(value)
 
 
 def result_cache_stats() -> Dict[str, int]:
@@ -108,7 +123,7 @@ def intern(value: "IntervalSet") -> "IntervalSet":
         value._intern_id = cached._intern_id
         return cached
     if len(_INTERN) >= _MAX_ENTRIES:
-        _INTERN.clear()
+        clear_result_cache()
     value._intern_id = _NEXT_ID
     _NEXT_ID += 1
     _INTERN[key] = value
@@ -233,6 +248,9 @@ class IntervalSet:
         if cached is not None:
             _STATS.hits += 1
             return cached
+        if lid < _FLOOR or rid < _FLOOR:
+            _restamp(self, other)
+            return self.intersect(other)
         result = intern(self._intersect(other))
         _STATS.misses += 1
         if len(_AND_RESULTS) >= _MAX_ENTRIES:
@@ -272,6 +290,9 @@ class IntervalSet:
         if cached is not None:
             _STATS.hits += 1
             return cached
+        if lid < _FLOOR or rid < _FLOOR:
+            _restamp(self, other)
+            return self.union(other)
         result = intern(IntervalSet(self._intervals + other._intervals))
         _STATS.misses += 1
         if len(_OR_RESULTS) >= _MAX_ENTRIES:
@@ -292,6 +313,9 @@ class IntervalSet:
         if cached is not None:
             _STATS.hits += 1
             return cached
+        if lid < _FLOOR or rid < _FLOOR:
+            _restamp(self, other)
+            return self.subtract(other)
         result = intern(self._subtract(other))
         _STATS.misses += 1
         if len(_SUB_RESULTS) >= _MAX_ENTRIES:

@@ -145,3 +145,20 @@ class TestModelBased:
         for (a1, b1), (a2, b2) in zip(s.intervals, s.intervals[1:]):
             assert b1 + 1 < a2  # disjoint and non-adjacent
             assert a1 <= b1 and a2 <= b2
+
+
+class TestResultCacheAfterClear:
+    def test_stamp_from_before_a_clear_counts_as_absent(self):
+        from repro.common import intervals
+
+        stamped = IntervalSet([(3, 9), (20, 30)])
+        other = IntervalSet([(5, 25)])
+        stamped.intersect(other)
+        intervals.clear_result_cache()
+        misses = intervals.result_cache_stats()["misses"]
+        fresh = IntervalSet([(3, 9), (20, 30)])
+        first = fresh.intersect(other)
+        # The stale stamp re-interns to the fresh set's id, so the
+        # same operation is a hit, not a second miss under a new key.
+        assert stamped.intersect(other) is first
+        assert intervals.result_cache_stats()["misses"] == misses + 1
