@@ -182,7 +182,11 @@ class FlowTable:
         controller's steering rules all do); a multi-field shadow is
         not expressible as one conjunction, so those branches are kept
         whole -- a sound over-approximation for may-reachability
-        (extra possible flows, never missing ones).
+        (extra possible flows, never missing ones).  One pass: per
+        field, the union of the single-field shadows seen so far is
+        subtracted once from each later rule that tests the field (a
+        rule broader on it keeps it open); a rule with a field left
+        empty is fully shadowed and has no branch.
         """
         cached = self._branch_cache
         if cached is not None and cached[0] == self._version:
@@ -190,22 +194,24 @@ class FlowTable:
             return cached[1]
         self._ensure_sorted()
         branches: List[Tuple[Action, Dict[str, IntervalSet]]] = []
-        for index, rule in enumerate(self._rules):
-            residual = dict(rule.match)
-            dead = False
-            for earlier in self._rules[:index]:
-                earlier_match = earlier.match_dict()
-                if len(earlier_match) != 1:
-                    continue  # conservative: keep the branch whole
-                (name, shadow), = earlier_match.items()
-                if name not in residual:
-                    continue  # rule is broader on this field; keep
-                residual[name] = residual[name].subtract(shadow)
-                if residual[name].is_empty():
-                    dead = True
-                    break
-            if not dead:
+        shadows: Dict[str, IntervalSet] = {}
+        for rule in self._rules:
+            residual: Dict[str, IntervalSet] = {}
+            for name, allowed in rule.match:
+                shadow = shadows.get(name)
+                if shadow is not None:
+                    allowed = allowed.subtract(shadow)
+                    if allowed.is_empty():
+                        break  # fully shadowed
+                residual[name] = allowed
+            else:
                 branches.append((rule.action, residual))
+            if len(rule.match) == 1:
+                (name, allowed), = rule.match
+                shadow = shadows.get(name)
+                shadows[name] = (
+                    allowed if shadow is None else shadow.union(allowed)
+                )
         self._branch_cache = (self._version, branches)
         return branches
 

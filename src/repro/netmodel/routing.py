@@ -9,11 +9,10 @@ semantics expressed as interval arithmetic.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import List, NamedTuple, Optional, Tuple
 
 from repro.common.addr import format_prefix, prefix_range
-from repro.common.intervals import IntervalSet
+from repro.common.intervals import IntervalSet, SplitIndex
 from repro.symexec.tuning import OPT
 
 
@@ -36,16 +35,11 @@ class RoutingTable:
 
     def __init__(self, routes: Optional[List[Route]] = None):
         self.routes: List[Route] = []
-        #: Bumped by every mutation; validates ``_split_cache``.
+        #: Bumped by every mutation; validates ``_split``.
         self._version = 0
-        #: Memoized ``symbolic_split`` result for ``_version``.
-        self._split_cache: Optional[
-            Tuple[int, List[Tuple[int, IntervalSet]]]
-        ] = None
-        #: ``(version, lows, highs, branch indices)`` of every split
-        #: interval, sorted: :meth:`overlapping`'s index.
-        self._index_cache: Optional[
-            Tuple[int, List[int], List[int], List[int]]
+        #: ``(version, branches, index)``: :meth:`split` for ``_version``.
+        self._split: Optional[
+            Tuple[int, List[Tuple[int, IntervalSet]], SplitIndex]
         ] = None
         for route in routes or []:
             self.add(route.network, route.plen, route.out_port)
@@ -76,17 +70,23 @@ class RoutingTable:
         Branch sets are mutually disjoint and respect LPM: an address
         covered by a /24 and a /16 appears only in the /24's branch.
         Empty branches (fully shadowed routes) are omitted.
-
-        The split is a pure function of the route list, and router
-        models recompute it per symbolic arrival, so the result is
-        memoized; the cache is validated against a version counter
-        bumped by every ``add``/``remove_port``.
         Callers must treat the returned list as read-only.
         """
-        cached = self._split_cache
+        return self.split()[0]
+
+    def split(self) -> Tuple[List[Tuple[int, IntervalSet]], SplitIndex]:
+        """:meth:`symbolic_split` and a :class:`SplitIndex` over its
+        destination sets.
+
+        Both are pure functions of the route list, and router models
+        ask for them per symbolic arrival, so they are memoized
+        together; the memo is validated against a version counter
+        bumped by every ``add``/``remove_port``.
+        """
+        cached = self._split
         if cached is not None and cached[0] == self._version:
             OPT.memo_hits += 1
-            return cached[1]
+            return cached[1], cached[2]
         covered = IntervalSet.empty()
         branches: List[Tuple[int, IntervalSet]] = []
         for route in self.routes:  # most-specific first
@@ -97,44 +97,9 @@ class RoutingTable:
             )
             if not allowed.is_empty():
                 branches.append((route.out_port, allowed))
-        self._split_cache = (self._version, branches)
-        return branches
-
-    def overlapping(self, domain: IntervalSet) -> List[int]:
-        """Ascending indices of the :meth:`symbolic_split` branches
-        whose destination set meets ``domain``.
-
-        Equal to testing ``domain`` against every branch, at the cost
-        of the overlaps found: the branches are disjoint, so their
-        intervals sorted by low end are sorted by high end too, and one
-        bisection per ``domain`` interval finds the first candidate.
-        The index is built on first use per ``_version``, beside the
-        split it is drawn from.
-        """
-        cached = self._index_cache
-        if cached is None or cached[0] != self._version:
-            spans = sorted(
-                (low, high, index)
-                for index, (_port, allowed) in enumerate(
-                    self.symbolic_split()
-                )
-                for low, high in allowed.intervals
-            )
-            cached = self._index_cache = (
-                self._version,
-                [low for low, _high, _index in spans],
-                [high for _low, high, _index in spans],
-                [index for _low, _high, index in spans],
-            )
-        _version, lows, highs, owners = cached
-        hits = set()
-        end = len(lows)
-        for low, high in domain.intervals:
-            at = bisect_left(highs, low)
-            while at < end and lows[at] <= high:
-                hits.add(owners[at])
-                at += 1
-        return sorted(hits)
+        index = SplitIndex([allowed for _port, allowed in branches])
+        self._split = (self._version, branches, index)
+        return branches, index
 
     def __len__(self) -> int:
         return len(self.routes)

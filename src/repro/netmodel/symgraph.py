@@ -20,13 +20,11 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import (
-    Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple,
-)
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.common import fields as F
 from repro.common.errors import VerificationError
-from repro.common.intervals import IntervalSet
+from repro.common.intervals import FULL_RANGE, IntervalSet, SplitIndex
 from repro.netmodel.topology import (
     ClientSubnet,
     Host,
@@ -63,72 +61,32 @@ from repro.symexec.tuning import OPT
 MODULE_INGRESS_BASE = 1 << 32
 MODULE_EGRESS_BASE = 2 << 32
 
-#: Router splits with at least this many branches (a hub router) find
-#: the branches a flow can take with :meth:`RoutingTable.overlapping`
-#: instead of testing each one.  The index costs a build per table
-#: version, so it pays only on wide splits: timed against the loop on a
-#: 2-core x86 VM with as few as two arrivals per table version, it wins
-#: from 16 branches (0.84x the loop's time), breaks even at 8-12 and
-#: loses below; the admission workloads' routers have 2-4 branches.
-WIDE_SPLIT = 16
-
-
 def _endpoint_model(ctx, node, port, flow):
     # Endpoints are sinks; the engine never calls their model.
     return []
 
 
 def _router_model(ctx, node, port, flow):
-    table = ctx.graph.payloads[node]
+    branches, split = ctx.graph.payloads[node].split()
     results = []
-    # Inline symbolic_split's memo-hit path: this runs for every
-    # symbolic arrival at every router, and the extra call is
-    # measurable on large topologies.
-    cached = table._split_cache
-    if cached is not None and cached[0] == table._version:
-        OPT.memo_hits += 1
-        branches = cached[1]
-    else:
-        branches = table.symbolic_split()
+    # Fork only the branches the flow's destination can meet: a fork
+    # of any other would be constrained to death at once.  The last
+    # branch is not forked but taken by the flow itself, met or not:
+    # when nothing survives, that dead flow is what the engine drops.
     variable = flow.packet.var(F.IP_DST)
     if variable is None:
-        # ip_dst untracked: constraining raises VerificationError.
-        for _out_port, allowed in branches:
-            flow.constrain_field(F.IP_DST, allowed)
-        return results
-    # Prune fork branches whose destination set cannot overlap the
-    # flow's current ip_dst domain: forking them would only create a
-    # flow this model kills at once.  Only fork branches (all but the
-    # last) are prunable -- the last branch reuses the in-place flow,
-    # and its in-place constrain, including the dead-flow state it
-    # leaves behind when the branch is infeasible, is part of the
-    # result.  The precheck intersect is reused by ``constrain``
-    # through the interval result cache.
-    current = flow.domain(variable)
+        raise VerificationError("field %r not tracked" % (F.IP_DST,))
     last = len(branches) - 1
-    if len(branches) >= WIDE_SPLIT:
-        # Visit only the fork branches the split's index says overlap;
-        # the others are exactly the ones the test below would prune.
-        visit = table.overlapping(current)
-        if visit and visit[-1] == last:
-            visit.pop()
-        OPT.prunes += last - len(visit)
-        for index in visit:
+    for index in split.meeting(flow.domain(variable)):
+        if index < last:
             out_port, allowed = branches[index]
-            target = flow.fork()
-            if target.constrain(variable, allowed):
-                results.append((out_port, target))
+            fork = flow.fork()
+            if fork.constrain(variable, allowed):
+                results.append((out_port, fork))
+    if branches:
         out_port, allowed = branches[last]
         if flow.constrain(variable, allowed):
             results.append((out_port, flow))
-        return results
-    for index, (out_port, allowed) in enumerate(branches):
-        if index < last and current.intersect(allowed).is_empty():
-            OPT.prunes += 1
-            continue
-        target = flow if index == last else flow.fork()
-        if target.constrain(variable, allowed):
-            results.append((out_port, target))
     return results
 
 
@@ -160,15 +118,21 @@ def _middlebox_model_factory(element, program: Callable) -> Callable:
 
 
 class _Demux(NamedTuple):
-    """A platform's steering rules as the symbolic demux sees them."""
+    """A platform's steering rules as the symbolic demux sees them,
+    for one version of its flow table."""
 
-    #: (ingress pseudo-port, residual match) per steering rule.
-    branches: List[Tuple[int, Dict[str, IntervalSet]]]
-    #: Union of the branches' ``ip_dst`` residuals -- an arrival whose
-    #: destination misses it matches no branch -- or None when some
-    #: rule does not test ``ip_dst`` first.
-    steered: Optional[IntervalSet]
-    ingress_ports: FrozenSet[int]
+    version: int
+    #: (ingress pseudo-port, residual match, the residual's fields
+    #: other than ``ip_dst``) per steering rule.
+    branches: List[Tuple[
+        int, Dict[str, IntervalSet], Tuple[Tuple[str, IntervalSet], ...]
+    ]]
+    #: The branches' ``ip_dst`` residuals (None where a rule does not
+    #: test it).
+    split: SplitIndex
+    #: Destinations that leave via the uplink: not a co-located
+    #: module's address.
+    egress: IntervalSet
 
 
 class _PlatformState:
@@ -179,119 +143,76 @@ class _PlatformState:
         self.uplink_port = uplink_port
         #: Spliced module -> pseudo-port slot (its assigned address).
         self.slots: Dict[str, int] = {}
-        #: Memoized (raw branches identity, result) for
-        #: :meth:`module_branches`; splice/un-splice reset it.
-        self._demux_cache: Optional[tuple] = None
-        #: Memoized (module snapshot, complement set) for
-        #: :meth:`egress_complement`.
-        self._egress_cache: Optional[tuple] = None
+        #: Memoized :meth:`demux`; splice/un-splice reset it.
+        self._demux: Optional[_Demux] = None
 
-    def module_branches(self) -> _Demux:
+    def demux(self) -> _Demux:
         """The demux over the spliced modules' steering rules.
 
         Read from the platform's OpenFlow-style table, so the symbolic
         demux follows exactly the rules the controller installed.
-        Memoized: valid while the flow table hands back the same
-        (memoized) branch list and no module was spliced or un-spliced
-        -- any install/remove or (un)splice invalidates it.
+        Memoized per flow-table version: every ``Platform.deploy`` and
+        ``undeploy`` installs or removes the module's rule, which bumps
+        the version, and an (un)splice resets the memo.
         """
         from repro.netmodel.flowtable import ACTION_TO_MODULE
 
-        raw = self.platform.flow_table.symbolic_branches()
-        cached = self._demux_cache
-        if cached is not None and cached[0] is raw:
+        table = self.platform.flow_table
+        demux = self._demux
+        if demux is not None and demux.version == table._version:
             OPT.memo_hits += 1
-            return cached[1]
+            return demux
         slots = self.slots
         branches = []
-        for action, residual in raw:
+        for action, residual in table.symbolic_branches():
             if action.kind != ACTION_TO_MODULE:
                 continue
             slot = slots.get(action.target)
             if slot is not None:
-                branches.append((MODULE_INGRESS_BASE + slot, residual))
-        steered: Optional[IntervalSet] = IntervalSet.empty()
-        for _port, residual in branches:
-            if next(iter(residual), None) != F.IP_DST:
-                steered = None
-                break
-            steered = steered.union(residual[F.IP_DST])
-        result = _Demux(
-            branches, steered,
-            frozenset(ingress_port for ingress_port, _r in branches),
+                branches.append((
+                    MODULE_INGRESS_BASE + slot, residual,
+                    tuple(
+                        item for item in residual.items()
+                        if item[0] != F.IP_DST
+                    ),
+                ))
+        demux = self._demux = _Demux(
+            table._version,
+            branches,
+            SplitIndex([residual.get(F.IP_DST)
+                        for _port, residual, _rest in branches]),
+            FULL_RANGE.subtract(IntervalSet.from_values(
+                addr for addr, _cfg in self.platform.modules.values()
+            )),
         )
-        self._demux_cache = (raw, result)
-        return result
-
-    def egress_complement(self) -> IntervalSet:
-        """Destinations that leave via the uplink (not a co-located
-        module's address); memoized per module-address set."""
-        modules = self.platform.modules
-        key = tuple(sorted(
-            (name, addr) for name, (addr, _cfg) in modules.items()
-        ))
-        cached = self._egress_cache
-        if cached is not None and cached[0] == key:
-            OPT.memo_hits += 1
-            return cached[1]
-        complement = IntervalSet.from_interval(
-            0, (1 << 32) - 1
-        ).subtract(IntervalSet.from_values(addr for _name, addr in key))
-        self._egress_cache = (key, complement)
-        return complement
+        return demux
 
 
 def _platform_model(ctx, node, port, flow):
     state: _PlatformState = ctx.graph.payloads[node]
+    demux = state.demux()
     results = []
-    branches, steered, ingress_ports = state.module_branches()
-    remaining = flow
-    from_module = port >= MODULE_EGRESS_BASE
+    # Below zero for uplink arrivals, so it only ever matches on egress.
     own_ingress = port - MODULE_EGRESS_BASE + MODULE_INGRESS_BASE
-    if steered is not None and branches:
-        # One test before sixteen: a destination outside every steered
-        # address fails each branch's first residual test, so count the
-        # prunes the loop below would and skip it.
-        variable = remaining.packet.var(F.IP_DST)
-        if variable is not None and remaining.domain(
-            variable
-        ).intersect(steered).is_empty():
-            OPT.prunes += len(branches) - (
-                from_module and own_ingress in ingress_ports
-            )
-            branches = ()
-    for ingress_port, residual in branches:
-        if from_module and ingress_port == own_ingress:
+    for index in demux.split.meeting(flow.field_domain(F.IP_DST)):
+        ingress_port, residual, rest = demux.branches[index]
+        if ingress_port == own_ingress:
             continue  # no self-hairpin: a module never feeds itself
-        # Demux branches are always forks, so an infeasible residual
-        # is pruned before forking (the fork would only be constrained
-        # to death and dropped here).
-        infeasible = False
-        for field_name, allowed in residual.items():
-            variable = remaining.packet.var(field_name)
-            if variable is None:
-                break  # the fork path below raises
-            if remaining.domain(variable).intersect(allowed).is_empty():
-                infeasible = True
-                break
-        if infeasible:
+        # The destination meets this branch; a fork that a protocol or
+        # port test rules out would only be constrained to death.
+        if any(flow.field_domain(name).intersect(allowed).is_empty()
+               for name, allowed in rest):
             OPT.prunes += 1
             continue
-        fork = remaining.fork()
-        alive = True
-        for field_name, allowed in residual.items():
-            if not fork.constrain_field(field_name, allowed):
-                alive = False
-                break
-        if alive:
+        fork = flow.fork()
+        if all(fork.constrain_field(name, allowed)
+               for name, allowed in residual.items()):
             results.append((ingress_port, fork))
-    if from_module:
+    if port >= MODULE_EGRESS_BASE:
         # Module egress not destined to a co-located module leaves via
         # the uplink; the upstream router takes over.
-        if remaining.constrain_field(
-            F.IP_DST, state.egress_complement()
-        ):
-            results.append((state.uplink_port, remaining))
+        if flow.constrain_field(F.IP_DST, demux.egress):
+            results.append((state.uplink_port, flow))
     # Traffic arriving on the uplink that matches no module is dropped
     # (the platform only accepts module-addressed traffic).
     return results
@@ -400,7 +321,7 @@ class CompiledNetwork:
             graph.remove_nodes(nodes)
             raise
         state.slots[module_id] = address
-        state._demux_cache = None
+        state._demux = None
         self.modules[module_id] = (platform_name, address, config)
         self._spliced[module_id] = nodes
 
@@ -411,7 +332,7 @@ class CompiledNetwork:
         platform_name = self.modules.pop(module_id)[0]
         state: _PlatformState = self.graph.payloads[platform_name]
         del state.slots[module_id]
-        state._demux_cache = None
+        state._demux = None
         self.graph.remove_nodes(nodes)
 
     # -- engine -----------------------------------------------------------

@@ -420,7 +420,7 @@ class Exploration:
         #: Total model evaluations (the linear cost the paper measures).
         self.steps = 0
         #: Work accounting (deltas of the tuning counters over this
-        #: exploration): flow forks, branches pruned before forking,
+        #: exploration): flow forks, forks a model declined after a test,
         #: element-model memo hits, and copy-on-write materializations.
         self.forks = 0
         self.pruned = 0
@@ -484,7 +484,7 @@ class SymbolicEngine:
         )
         self._c_prunes = metrics.counter(
             "symexec_prunes_total",
-            "Infeasible branches pruned before forking",
+            "Forks a model declined after a test",
         )
         self._c_memo = metrics.counter(
             "symexec_memo_hits_total", "Element-model memoization hits"

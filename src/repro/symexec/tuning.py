@@ -28,9 +28,10 @@ class OptState:
 
     * ``forks`` -- every :meth:`SymFlow.fork` (the structural branching
       factor of an exploration),
-    * ``prunes`` -- branches proven infeasible *before* forking,
+    * ``prunes`` -- forks a model declined after a test of its own
+      (a branch a split index never offers is not one),
     * ``memo_hits`` -- reuses of a memoized per-element structure
-      (router LPM splits, platform demux branches),
+      (router LPM splits, platform demuxes, flow-table branches),
     * ``cow_copies`` -- copy-on-write materializations (a forked flow's
       first divergent write).
     """

@@ -162,3 +162,54 @@ class TestResultCacheAfterClear:
         # same operation is a hit, not a second miss under a new key.
         assert stamped.intersect(other) is first
         assert intervals.result_cache_stats()["misses"] == misses + 1
+
+
+class TestPickling:
+    def test_unpickled_set_does_not_carry_its_intern_stamp(self):
+        # An intern id names one value only inside the process that
+        # issued it.  The child stamps the parent's ids for ``a`` and
+        # ``b`` on other values and caches their intersection, so a
+        # carried stamp would hit that entry and answer {150-200}.
+        import os
+        import pickle
+        import subprocess
+        import sys
+
+        import repro
+
+        a = IntervalSet.from_interval(0, 9)
+        b = IntervalSet.from_interval(5, 20)
+        a.intersect(b)
+        child = """
+import pickle, sys
+from repro.common import intervals
+from repro.common.intervals import IntervalSet
+issued = intervals._NEXT_ID
+x, y = IntervalSet([(100, 200)]), IntervalSet([(150, 300)])
+for stamp, value in ((%d, x), (%d, y)):
+    intervals._NEXT_ID = stamp
+    intervals.intern(value)
+intervals._NEXT_ID = max(issued, x._intern_id, y._intern_id) + 1
+x.intersect(y)
+a, b = pickle.loads(sys.stdin.buffer.read())
+print((a & b).intervals)
+""" % (a._intern_id, b._intern_id)
+        done = subprocess.run(
+            [sys.executable, "-c", child],
+            input=pickle.dumps((a, b)),
+            stdout=subprocess.PIPE,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(
+                os.path.dirname(repro.__file__))),
+        )
+        assert done.stdout.decode().strip() == "((5, 9),)"
+
+    def test_round_trip_is_equal_and_unstamped(self):
+        import pickle
+
+        value = IntervalSet([(1, 3), (7, 9)])
+        value.union(IntervalSet.single(5))
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and copy._intern_id is None
+        assert copy | IntervalSet.single(5) == IntervalSet(
+            [(1, 3), (5, 5), (7, 9)])

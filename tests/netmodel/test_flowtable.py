@@ -170,6 +170,88 @@ class TestSymbolicBranches:
             assert hits == [rule.action.target]
 
 
+def quadratic_branches(table):
+    """The O(rules^2) reference: each rule's match minus every earlier
+    single-field rule, one subtraction at a time."""
+    rules = table.rules
+    branches = []
+    for index, rule in enumerate(rules):
+        residual = dict(rule.match)
+        dead = False
+        for earlier in rules[:index]:
+            earlier_match = earlier.match_dict()
+            if len(earlier_match) != 1:
+                continue  # conservative: keep the branch whole
+            (name, shadow), = earlier_match.items()
+            if name not in residual:
+                continue  # rule is broader on this field; keep
+            residual[name] = residual[name].subtract(shadow)
+            if residual[name].is_empty():
+                dead = True
+                break
+        if not dead:
+            branches.append((rule.action, residual))
+    return branches
+
+
+small_sets = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=40),
+    ).map(lambda pair: (min(pair), max(pair))),
+    max_size=3,
+).map(IntervalSet)
+#: Rules on one to three of three fields: single-field shadows,
+#: multi-field shadows that must not be subtracted, rules broader on a
+#: field than the shadows before them, empty matches and empty sets.
+random_rules = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=5),
+        st.dictionaries(
+            st.sampled_from([F.IP_DST, F.IP_PROTO, F.TP_DST]),
+            small_sets,
+            max_size=3,
+        ),
+    ),
+    max_size=20,
+)
+
+
+class TestOnePassBranches:
+    @settings(max_examples=200, deadline=None)
+    @given(rules=random_rules)
+    def test_equals_the_quadratic_reference(self, rules):
+        table = FlowTable()
+        for number, (priority, match) in enumerate(rules):
+            table.install(priority, match, Action.output(number))
+        assert table.symbolic_branches() == quadratic_branches(table)
+
+    def test_worked_example(self):
+        table = FlowTable()
+        wide = IntervalSet.from_interval(0, 40)
+        table.install(9, {F.IP_DST: IntervalSet.from_interval(0, 9)},
+                      Action.output(1))
+        table.install(8, {F.IP_DST: IntervalSet.from_interval(5, 20),
+                          F.TP_DST: IntervalSet.single(80)},
+                      Action.output(2))
+        table.install(7, {F.TP_DST: wide}, Action.output(3))
+        table.install(6, {F.IP_DST: IntervalSet.from_interval(0, 30)},
+                      Action.output(4))
+        table.install(5, {F.IP_DST: IntervalSet.from_interval(3, 8),
+                          F.TP_DST: IntervalSet.single(80)},
+                      Action.output(5))
+        branches = table.symbolic_branches()
+        assert branches == quadratic_branches(table)
+        targets = [action.target for action, _residual in branches]
+        # The multi-field rule 2 shadows nothing (rule 4 keeps 10-20);
+        # rule 3 does not test ip_dst and keeps it whole; rule 5's
+        # ip_dst is covered by rules 1 and 4, and it dies.
+        assert targets == [1, 2, 3, 4]
+        residual = dict((a.target, r) for a, r in branches)
+        assert residual[2][F.IP_DST] == IntervalSet.from_interval(10, 20)
+        assert residual[4][F.IP_DST] == IntervalSet.from_interval(10, 30)
+
+
 class TestSteeringHelper:
     def test_cookie_is_module_name(self):
         table = FlowTable()

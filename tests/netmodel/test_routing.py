@@ -114,7 +114,8 @@ def random_domain(rng):
 
 
 class TestOverlappingIndex:
-    """``overlapping`` against the linear scan it replaces."""
+    """The split's :class:`SplitIndex` against a linear scan of the
+    branches (tables of 1..40 routes, so both sides of ``WIDE_SPLIT``)."""
 
     def reference(self, t, domain):
         return [
@@ -134,7 +135,8 @@ class TestOverlappingIndex:
                 len(allowed.intervals) > 1 for _port, allowed in branches)
             for _query in range(8):
                 domain = random_domain(rng)
-                assert t.overlapping(domain) == self.reference(t, domain)
+                assert t.split()[1].meeting(domain) \
+                    == self.reference(t, domain)
         # The sample really has the awkward cases.
         assert shadowed > 0 and multi_interval > 0
 
@@ -148,19 +150,21 @@ class TestOverlappingIndex:
             else:
                 t.remove_port(rng.choice(t.routes).out_port)
             domain = random_domain(rng)
-            assert t.overlapping(domain) == self.reference(t, domain)
+            assert t.split()[1].meeting(domain) == self.reference(t, domain)
 
     def test_empty_table_and_domain(self):
-        assert RoutingTable().overlapping(IntervalSet.single(5)) == []
+        assert RoutingTable().split()[1].meeting(
+            IntervalSet.single(5)) == []
         t = table(("10.0.0.0/8", 1), ("0.0.0.0/0", 2))
-        assert t.overlapping(IntervalSet.empty()) == []
-        assert t.overlapping(IntervalSet.from_interval(0, 2 ** 32 - 1)) \
+        _branches, split = t.split()
+        assert split.meeting(IntervalSet.empty()) == []
+        assert split.meeting(IntervalSet.from_interval(0, 2 ** 32 - 1)) \
             == [0, 1]
 
     def test_wide_split_verification_builds_the_index(self):
         from repro.core import Controller
         from repro.netmodel.examples import star_network
-        from repro.netmodel.symgraph import WIDE_SPLIT
+        from repro.common.intervals import WIDE_SPLIT
 
         policy = "\n".join(
             "reach from internet udp dst net 192.0.%d.0/24 -> platform%d"
@@ -170,4 +174,5 @@ class TestOverlappingIndex:
         assert all(controller.verify_snapshot())
         hub = controller.network.node("r0").table
         assert len(hub.symbolic_split()) >= WIDE_SPLIT
-        assert hub._index_cache is not None
+        _version, _branches, split = hub._split
+        assert split._lows is not None  # bisected, not scanned

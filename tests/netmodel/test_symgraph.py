@@ -6,7 +6,9 @@ from repro.click import parse_config
 from repro.common import fields as F
 from repro.common.addr import parse_ip
 from repro.common.errors import VerificationError
+from repro.common.intervals import FULL_RANGE, IntervalSet
 from repro.netmodel import NetworkCompiler
+from repro.netmodel.symgraph import MODULE_INGRESS_BASE
 from repro.netmodel.examples import figure3_network
 from repro.policy import parse_requirement
 from repro.policy.grammar import NodeRef, KIND_NAME
@@ -100,6 +102,67 @@ class TestEndToEndExploration:
                            fromlist=["IntervalSet"]
                            ).IntervalSet.single(address)
             )
+
+
+class TestPlatformDemux:
+    """The demux memo follows the platform: deploy/undeploy reach it
+    through the flow table's version, (un)splice by resetting it."""
+
+    def observed(self, state):
+        demux = state.demux()
+        return (
+            [(port, residual) for port, residual, _rest in demux.branches],
+            demux.split.meeting(FULL_RANGE),
+            demux.egress,
+        )
+
+    def expected(self, compiled, platform):
+        """A from-scratch answer: one ``ip_dst`` branch per module
+        both deployed and spliced; every deployed address off egress."""
+        modules = platform.modules
+        steered = sorted(
+            modules[name][0] for name in compiled.modules if name in modules
+        )
+        return (
+            [(MODULE_INGRESS_BASE + address,
+              {F.IP_DST: IntervalSet.single(address)})
+             for address in steered],
+            list(range(len(steered))),
+            FULL_RANGE.subtract(IntervalSet.from_values(
+                address for address, _config in modules.values())),
+        )
+
+    def test_branches_and_egress_follow_every_change(self, figure3):
+        compiled = NetworkCompiler(figure3).compile()
+        platform = figure3.node("platform3")
+        state = compiled.graph.payloads["platform3"]
+        config = parse_config(BATCHER)
+        first, second = (platform.allocate_address() for _ in range(2))
+
+        def check():
+            seen = self.observed(state)
+            assert seen == self.observed(state)  # the memoized answer
+            branches, meeting, egress = seen
+            assert (sorted(branches), meeting, egress) \
+                == self.expected(compiled, platform)
+            return seen
+
+        check()
+        platform.deploy("a", first, config)  # no splice: egress only
+        assert check()[0] == [] and first not in check()[2]
+        compiled.splice("platform3", "a", first, config)
+        assert [port for port, _r in check()[0]] == [
+            MODULE_INGRESS_BASE + first]
+        platform.deploy("b", second, config)
+        compiled.splice("platform3", "b", second, config)
+        assert len(check()[0]) == 2
+        compiled.unsplice("a")  # still deployed: egress keeps it
+        assert len(check()[0]) == 1 and first not in check()[2]
+        platform.undeploy("a")
+        assert first in check()[2] and second not in check()[2]
+        compiled.unsplice("b")
+        platform.undeploy("b")
+        assert check() == ([], [], FULL_RANGE)
 
 
 class TestInjectionPoints:
