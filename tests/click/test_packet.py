@@ -5,9 +5,19 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.click import Runtime, parse_config
 from repro.click.packet import (
+    HEADER_FIELDS,
     IP_DST,
     IP_PROTO,
     IP_SRC,
@@ -424,3 +434,189 @@ class TestFootprint:
             tracemalloc.stop()
         assert len(clones) == n
         assert used / n - sys.getsizeof(template.fields) <= 128
+
+
+# -- the mapping protocol against a plain-dict reference ---------------------
+
+#: What ``Packet()`` carries before any write, in iteration order.
+REFERENCE_DEFAULTS = {
+    "ip_src": 0, "ip_dst": 0, "ip_proto": UDP, "ip_ttl": 64, "ip_tos": 0,
+    "tp_src": 0, "tp_dst": 0, "tcp_flags": 0, "payload": b"",
+}
+#: Non-header names a rule may write; ``length`` and ``copy`` are also
+#: packet attributes, and as field names they must stay plain keys.
+CUSTOM_NAMES = ("custom", "vlan", "length", "copy")
+#: Names no rule writes: reading them as fields must raise KeyError.
+NEVER_WRITTEN = ("fields", "_extra", "uid", "annotations", "_fkey",
+                 "encapsulate")
+WRITABLE = HEADER_FIELDS + CUSTOM_NAMES
+EVERY_NAME = WRITABLE + NEVER_WRITTEN
+#: ``Packet(**kwargs)`` names (``length`` is the constructor's own).
+KWARG_NAMES = HEADER_FIELDS + ("custom", "vlan")
+MAX_PACKETS = 8
+_ABSENT = object()
+
+field_values = st.one_of(
+    st.integers(min_value=-1, max_value=1 << 40),
+    st.none(),
+    st.binary(max_size=3),
+)
+picks = st.integers(min_value=0, max_value=1 << 16)
+
+
+class Reference:
+    """What one packet must read as: plain dicts and a list."""
+
+    def __init__(self, fields, annotations=None, encap=None, length=64):
+        self.fields = dict(fields)
+        self.annotations = dict(annotations or {})
+        self.encap = [dict(layer) for layer in encap or ()]
+        self.length = length
+
+    def copy(self):
+        return Reference(self.fields, self.annotations, self.encap,
+                         self.length)
+
+
+class PacketModel(RuleBasedStateMachine):
+    """Packets driven side by side with plain-dict references.
+
+    Every rule applies one operation to a packet and to its reference;
+    after every step each packet -- including the copies, clones and
+    unpickled twins made along the way -- must read exactly like its
+    own reference, so a write that leaks between packets fails too.
+
+    A header field, once deleted, is never written again: where a
+    re-added header field falls in the iteration order is outside
+    what this model pins.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.pairs = []
+
+    def _pair(self, pick):
+        return self.pairs[pick % len(self.pairs)]
+
+    def _writable(self, ref, name):
+        return name not in HEADER_FIELDS or name in ref.fields
+
+    @initialize(kwargs=st.dictionaries(st.sampled_from(KWARG_NAMES),
+                                       field_values, max_size=4),
+                length=st.integers(min_value=0, max_value=9000))
+    def first(self, kwargs, length):
+        self.construct(kwargs, length)
+
+    @precondition(lambda self: len(self.pairs) < MAX_PACKETS)
+    @rule(kwargs=st.dictionaries(st.sampled_from(KWARG_NAMES),
+                                 field_values, max_size=4),
+          length=st.integers(min_value=0, max_value=9000))
+    def construct(self, kwargs, length):
+        packet = Packet(length=length, **kwargs)
+        self.pairs.append(
+            (packet, Reference({**REFERENCE_DEFAULTS, **kwargs},
+                               length=length))
+        )
+
+    @rule(pick=picks, name=st.sampled_from(WRITABLE), value=field_values,
+          through_view=st.booleans())
+    def set_field(self, pick, name, value, through_view):
+        packet, ref = self._pair(pick)
+        if not self._writable(ref, name):
+            return
+        if through_view:
+            packet.fields[name] = value
+        else:
+            packet[name] = value
+        ref.fields[name] = value
+
+    @rule(pick=picks, name=st.sampled_from(WRITABLE), pop=st.booleans())
+    def delete_field(self, pick, name, pop):
+        packet, ref = self._pair(pick)
+        if name not in ref.fields:
+            with pytest.raises(KeyError):
+                del packet.fields[name]
+            assert packet.fields.pop(name, _ABSENT) is _ABSENT
+            return
+        expected = ref.fields.pop(name)
+        if pop:
+            assert packet.fields.pop(name) == expected
+        else:
+            del packet.fields[name]
+
+    @rule(pick=picks, name=st.sampled_from(("paint", "tag")),
+          value=st.integers(min_value=0, max_value=3))
+    def annotate(self, pick, name, value):
+        packet, ref = self._pair(pick)
+        packet.annotate(name, value)
+        ref.annotations[name] = value
+
+    @precondition(lambda self: len(self.pairs) < MAX_PACKETS)
+    @rule(pick=picks, n=st.integers(min_value=0, max_value=3))
+    def copy(self, pick, n):
+        packet, ref = self._pair(pick)
+        clones = [packet.copy()] if n == 0 else packet.copy_many(n)
+        for clone in clones[:MAX_PACKETS - len(self.pairs)]:
+            self.pairs.append((clone, ref.copy()))
+
+    @precondition(lambda self: len(self.pairs) < MAX_PACKETS)
+    @rule(pick=picks, protocol=st.integers(min_value=2, max_value=5))
+    def pickle_round_trip(self, pick, protocol):
+        packet, ref = self._pair(pick)
+        twin = pickle.loads(pickle.dumps(packet, protocol=protocol))
+        self.pairs.append((twin, ref.copy()))
+
+    @rule(pick=picks, outer=st.dictionaries(st.sampled_from(KWARG_NAMES),
+                                            field_values, max_size=3))
+    def encapsulate(self, pick, outer):
+        packet, ref = self._pair(pick)
+        outer = {name: value for name, value in outer.items()
+                 if self._writable(ref, name)}
+        packet.encapsulate(**outer)
+        ref.encap.append(dict(ref.fields))
+        ref.fields.update(outer)
+
+    @rule(pick=picks)
+    def decapsulate(self, pick):
+        packet, ref = self._pair(pick)
+        if not ref.encap:
+            with pytest.raises(ValueError):
+                packet.decapsulate()
+            return
+        packet.decapsulate()
+        ref.fields = ref.encap.pop()
+
+    @invariant()
+    def every_packet_reads_like_its_reference(self):
+        for packet, ref in self.pairs:
+            view = packet.fields
+            assert list(view) == list(ref.fields)
+            assert list(view.items()) == list(ref.fields.items())
+            assert dict(view) == ref.fields
+            assert len(view) == len(ref.fields)
+            for name in EVERY_NAME:
+                expected = ref.fields.get(name, _ABSENT)
+                assert (name in packet) == (expected is not _ABSENT)
+                assert (name in view) == (expected is not _ABSENT)
+                assert packet.get(name, _ABSENT) == expected
+                assert view.get(name, _ABSENT) == expected
+                if expected is _ABSENT:
+                    with pytest.raises(KeyError):
+                        packet[name]
+                    with pytest.raises(KeyError):
+                        view[name]
+                else:
+                    assert packet[name] == expected
+                    assert view[name] == expected
+            assert packet.get("missing") is None
+            assert packet.encap_depth == len(ref.encap)
+            assert [list(layer.items()) for layer in packet.encap_stack] \
+                == [list(layer.items()) for layer in ref.encap]
+            assert packet.annotations == ref.annotations
+            assert packet.length == ref.length
+
+
+TestPacketModel = PacketModel.TestCase
+TestPacketModel.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
