@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import struct
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.click.packet import IP_DST, IP_PROTO, IP_SRC, TP_DST, TP_SRC
@@ -62,7 +62,6 @@ MIN_BATCH = 8
 #: Fields whose rewrite invalidates a packet's cached flow key/hash.
 FLOW_KEY_FIELDS = frozenset((IP_SRC, IP_DST, IP_PROTO, TP_SRC, TP_DST))
 
-_fields_of = attrgetter("fields")
 _length_of = attrgetter("length")
 
 #: Values representable in one int64 column cell.
@@ -100,7 +99,8 @@ class PacketColumns:
         fields: Sequence[str],
         need_length: bool = False,
     ) -> "PacketColumns":
-        """Lift ``fields`` of ``packets`` into columns.
+        """Lift the header ``fields`` (packet slots) of ``packets`` into
+        columns.
 
         One ``struct.pack_into`` pass builds the whole matrix; any
         unpackable value (missing field, non-int, out of int64 range)
@@ -124,24 +124,20 @@ class PacketColumns:
         self._lengths = None
         try:
             if ncols > 1:
-                getter = itemgetter(*fields)
                 buf = bytearray(8 * n * ncols)
                 struct.pack_into(
                     "%dq" % (n * ncols), buf, 0,
-                    *chain.from_iterable(map(getter, map(_fields_of,
-                                                         packets))),
+                    *chain.from_iterable(map(attrgetter(*fields), packets)),
                 )
             elif ncols == 1:
-                getter = itemgetter(fields[0])
                 buf = bytearray(8 * n)
                 struct.pack_into(
-                    "%dq" % n, buf, 0,
-                    *map(getter, map(_fields_of, packets)),
+                    "%dq" % n, buf, 0, *map(attrgetter(fields[0]), packets),
                 )
             else:
                 buf = bytearray(0)
             self._mat = np.frombuffer(buf, dtype=np.int64).reshape(n, ncols)
-        except (KeyError, TypeError, ValueError, OverflowError,
+        except (AttributeError, TypeError, ValueError, OverflowError,
                 struct.error):
             self._build_slow(packets, fields)
         if need_length:
@@ -153,9 +149,8 @@ class PacketColumns:
         (any unpackable cell) verbatim into the side table."""
         n = self.n
         self._mat = np.zeros((n, len(fields)), dtype=np.int64)
-        fdicts = [p.fields for p in packets]
         for j, name in enumerate(fields):
-            vals = [f.get(name, MISSING) for f in fdicts]
+            vals = [p.get(name, MISSING) for p in packets]
             if all(map(_packable, vals)):
                 self._mat[:, j] = vals
             else:
@@ -273,7 +268,7 @@ class PacketColumns:
     def to_packets(self) -> List:
         """Materialize surviving rows back to ``Packet`` objects.
 
-        Dirty columns are written into each survivor's field dict
+        Dirty columns are written into each survivor's header slots
         (invalidating cached flow keys when a 5-tuple field changed);
         pending annotations are stamped; dead rows are skipped
         entirely.  When no row died the original list object is
@@ -297,22 +292,22 @@ class PacketColumns:
             if bool((col == value).all()):
                 if name in FLOW_KEY_FIELDS:
                     for packet in out:
-                        packet.fields[name] = value
+                        setattr(packet, name, value)
                         packet._fkey = None
                         packet._fhash = None
                 else:
                     for packet in out:
-                        packet.fields[name] = value
+                        setattr(packet, name, value)
                 continue
             vals = col.tolist()
             if name in FLOW_KEY_FIELDS:
                 for packet, value in zip(out, vals):
-                    packet.fields[name] = value
+                    setattr(packet, name, value)
                     packet._fkey = None
                     packet._fhash = None
             else:
                 for packet, value in zip(out, vals):
-                    packet.fields[name] = value
+                    setattr(packet, name, value)
         for name, value in self.pending_annots.items():
             # Packet.annotate, inlined: the dict is made on first write.
             for packet in out:
@@ -394,7 +389,7 @@ def compile_clause_matchers(compiled_dnf):
     Returns a tuple of clauses, each a tuple of ``(field,
     matcher_fn)`` pairs; an empty clause matches everything (mirrors
     the scalar matcher's semantics exactly, including the implicit
-    ``fields.get(field, 0)`` default -- a batch whose packets lack the
+    ``getattr(packet, field, 0)`` default -- a batch whose packets lack the
     field never reaches these matchers, because the missing column
     lands in the side table and the runtime falls back).
     """

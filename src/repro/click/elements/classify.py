@@ -78,20 +78,19 @@ class IPFilter(Element):
 
     def push_batch(self, port: int, packets: List) -> PushBatchResult:
         # Vectorized first-match-wins over the precompiled DNF: plain
-        # tuple loops and one fields.get binding per packet instead of
-        # a FlowSpec.matches() call per rule per packet.
+        # tuple loops over header attributes instead of a
+        # FlowSpec.matches() call per rule per packet.
         compiled = self._compiled
         out: List = []
         append = out.append
         dropped = 0
         for packet in packets:
-            get = packet.fields.get
             verdict = False
             for allowed, clauses in compiled:
                 matched = False
                 for clause in clauses:
                     for field, allowed_set in clause:
-                        if get(field, 0) not in allowed_set:
+                        if getattr(packet, field, 0) not in allowed_set:
                             break
                     else:
                         matched = True
@@ -191,12 +190,11 @@ class IPClassifier(Element):
         groups = {}
         dropped = 0
         for packet in packets:
-            get = packet.fields.get
             for index, clauses in enumerate(compiled):
                 matched = False
                 for clause in clauses:
                     for field, allowed_set in clause:
-                        if get(field, 0) not in allowed_set:
+                        if getattr(packet, field, 0) not in allowed_set:
                             break
                     else:
                         matched = True
@@ -291,9 +289,7 @@ class IngressFilter(Element):
         self.dropped_spoofed = 0
 
     def push(self, port: int, packet) -> PushResult:
-        from repro.click.packet import IP_SRC
-
-        if port == self.INBOUND and packet[IP_SRC] in self.protected:
+        if port == self.INBOUND and packet.ip_src in self.protected:
             self.dropped_spoofed += 1
             return []
         return [(port, packet)]

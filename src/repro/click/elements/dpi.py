@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.click.element import Element, PushResult, register_element
-from repro.click.packet import IP_DST, IP_SRC, PAYLOAD, TP_DST, TP_SRC
+from repro.click.packet import PAYLOAD
 from repro.common.addr import parse_ip
 from repro.common.errors import ConfigError
 
@@ -35,7 +35,7 @@ class DPI(Element):
         self.matches = 0
 
     def push(self, port: int, packet) -> PushResult:
-        payload = packet.get(PAYLOAD) or b""
+        payload = getattr(packet, PAYLOAD, None) or b""
         if isinstance(payload, str):
             payload = payload.encode()
         for pattern in self.patterns:
@@ -69,10 +69,11 @@ class TransparentProxy(Element):
         self.original_dst = {}
 
     def push(self, port: int, packet) -> PushResult:
-        if packet[TP_DST] == 80:
-            self.original_dst[packet.flow_key()] = packet[IP_DST]
-            packet[IP_DST] = self.proxy_addr
-            packet[TP_DST] = self.proxy_port
+        if packet.tp_dst == 80:
+            self.original_dst[packet.flow_key()] = packet.ip_dst
+            packet.ip_dst = self.proxy_addr
+            packet.tp_dst = self.proxy_port
+            packet._fkey = packet._fhash = None
             self.redirects += 1
         return [(0, packet)]
 
@@ -93,11 +94,11 @@ class HTTPOptimizer(Element):
         self.rewrites = 0
 
     def push(self, port: int, packet) -> PushResult:
-        payload = packet.get(PAYLOAD) or b""
+        payload = getattr(packet, PAYLOAD, None) or b""
         if isinstance(payload, str):
             payload = payload.encode()
         if b"Accept-Encoding:" in payload:
-            packet[PAYLOAD] = payload.replace(
+            packet.payload = payload.replace(
                 b"Accept-Encoding: gzip", b"Accept-Encoding: identity"
             )
             self.rewrites += 1
@@ -123,23 +124,18 @@ class WebCache(Element):
         self.misses = 0
 
     def push(self, port: int, packet) -> PushResult:
-        payload = packet.get(PAYLOAD) or b""
+        payload = getattr(packet, PAYLOAD, None) or b""
         if isinstance(payload, str):
             payload = payload.encode()
         if not payload.startswith(b"GET "):
             return [(0, packet)]
-        key = (packet[IP_DST], payload.split(b"\r\n", 1)[0])
+        key = (packet.ip_dst, payload.split(b"\r\n", 1)[0])
         if key in self.cache:
             self.hits += 1
             response = packet.copy()
-            response[IP_SRC], response[IP_DST] = (
-                packet[IP_DST],
-                packet[IP_SRC],
-            )
-            response[TP_SRC], response[TP_DST] = (
-                packet[TP_DST],
-                packet[TP_SRC],
-            )
+            response.ip_src, response.ip_dst = packet.ip_dst, packet.ip_src
+            response.tp_src, response.tp_dst = packet.tp_dst, packet.tp_src
+            response._fkey = response._fhash = None
             return [(1, response)]
         self.cache.add(key)
         self.misses += 1

@@ -10,7 +10,6 @@ from repro.click.element import (
     PushResult,
     register_element,
 )
-from repro.click.packet import IP_DST
 from repro.common.addr import parse_ip
 from repro.common.errors import ConfigError
 
@@ -39,7 +38,8 @@ class Multicast(Element):
         for index, dest in enumerate(self.destinations):
             copy = packet if index == len(self.destinations) - 1 \
                 else packet.copy()
-            copy[IP_DST] = dest
+            copy.ip_dst = dest
+            copy._fkey = copy._fhash = None
             results.append((0, copy))
         return results
 
@@ -54,6 +54,7 @@ class Multicast(Element):
         for packet in packets:
             for index, dest in enumerate(destinations):
                 copy = packet if index == last else packet.copy()
-                copy[IP_DST] = dest
+                copy.ip_dst = dest
+                copy._fkey = copy._fhash = None
                 append(copy)
         return [(0, out)]

@@ -203,8 +203,9 @@ class IPRewriter(Element):
         if hit is not None:
             original_key, pattern = hit
             dst, src, _, dport, sport = original_key
-            packet[IP_SRC], packet[TP_SRC] = src, sport
-            packet[IP_DST], packet[TP_DST] = dst, dport
+            packet.ip_src, packet.tp_src = src, sport
+            packet.ip_dst, packet.tp_dst = dst, dport
+            packet._fkey = packet._fhash = None
             return [(pattern.rev_output, packet)]
         pattern = self.inputs[port]
         if pattern is None:
@@ -214,8 +215,9 @@ class IPRewriter(Element):
             mapping = self._establish(port, key, pattern)
         rewritten, pattern = mapping
         src, dst, _, sport, dport = rewritten
-        packet[IP_SRC], packet[IP_DST] = src, dst
-        packet[TP_SRC], packet[TP_DST] = sport, dport
+        packet.ip_src, packet.ip_dst = src, dst
+        packet.tp_src, packet.tp_dst = sport, dport
+        packet._fkey = packet._fhash = None
         return [(pattern.fwd_output, packet)]
 
     def push_batch(self, port: int, packets: List) -> PushBatchResult:
@@ -233,29 +235,26 @@ class IPRewriter(Element):
         scalar_push = self.push
         groups = {}
         for packet in packets:
-            fields = packet.fields
             key = (
-                fields[IP_SRC], fields[IP_DST], fields["ip_proto"],
-                fields[TP_SRC], fields[TP_DST],
+                packet.ip_src, packet.ip_dst, packet.ip_proto,
+                packet.tp_src, packet.tp_dst,
             )
             hit = rev_get(key)
             if hit is not None:
                 original_key, pattern = hit
                 dst, src, _, dport, sport = original_key
-                fields[IP_SRC], fields[TP_SRC] = src, sport
-                fields[IP_DST], fields[TP_DST] = dst, dport
-                packet._fkey = None
-                packet._fhash = None
+                packet.ip_src, packet.tp_src = src, sport
+                packet.ip_dst, packet.tp_dst = dst, dport
+                packet._fkey = packet._fhash = None
                 out = pattern.rev_output
             else:
                 mapping = fwd_get(key)
                 if mapping is not None:
                     rewritten, pattern = mapping
                     src, dst, _, sport, dport = rewritten
-                    fields[IP_SRC], fields[IP_DST] = src, dst
-                    fields[TP_SRC], fields[TP_DST] = sport, dport
-                    packet._fkey = None
-                    packet._fhash = None
+                    packet.ip_src, packet.ip_dst = src, dst
+                    packet.tp_src, packet.tp_dst = sport, dport
+                    packet._fkey = packet._fhash = None
                     out = pattern.fwd_output
                 else:
                     results = scalar_push(port, packet)
@@ -399,7 +398,8 @@ class SetIPAddress(Element):
         self.address = parse_ip(args[0])
 
     def push(self, port: int, packet) -> PushResult:
-        packet[IP_DST] = self.address
+        packet.ip_dst = self.address
+        packet._fkey = packet._fhash = None
         return [(0, packet)]
 
     def push_columns(self, port: int, cols) -> PushColumnsResult:
@@ -425,7 +425,8 @@ class SetIPSrc(Element):
         self.address = parse_ip(args[0])
 
     def push(self, port: int, packet) -> PushResult:
-        packet[IP_SRC] = self.address
+        packet.ip_src = self.address
+        packet._fkey = packet._fhash = None
         return [(0, packet)]
 
     def push_columns(self, port: int, cols) -> PushColumnsResult:
@@ -446,7 +447,8 @@ class SetTPDst(Element):
         self.port_value = parse_int_arg(args[0], "port")
 
     def push(self, port: int, packet) -> PushResult:
-        packet[TP_DST] = self.port_value
+        packet.tp_dst = self.port_value
+        packet._fkey = packet._fhash = None
         return [(0, packet)]
 
     def push_columns(self, port: int, cols) -> PushColumnsResult:
@@ -467,7 +469,8 @@ class SetTPSrc(Element):
         self.port_value = parse_int_arg(args[0], "port")
 
     def push(self, port: int, packet) -> PushResult:
-        packet[TP_SRC] = self.port_value
+        packet.tp_src = self.port_value
+        packet._fkey = packet._fhash = None
         return [(0, packet)]
 
     def push_columns(self, port: int, cols) -> PushColumnsResult:
@@ -490,11 +493,11 @@ class DecIPTTL(Element):
         self.expired = 0
 
     def push(self, port: int, packet) -> PushResult:
-        ttl = packet[IP_TTL]
+        ttl = packet.ip_ttl
         if ttl <= 1:
             self.expired += 1
             return [(1, packet)]
-        packet[IP_TTL] = ttl - 1
+        packet.ip_ttl = ttl - 1
         return [(0, packet)]
 
     def push_columns(self, port: int, cols) -> PushColumnsResult:
@@ -543,8 +546,8 @@ class CheckIPHeader(Element):
 
     def push(self, port: int, packet) -> PushResult:
         valid = (
-            0 < packet[IP_TTL] <= 255
-            and packet[IP_SRC] != 0xFFFFFFFF
+            0 < packet.ip_ttl <= 255
+            and packet.ip_src != 0xFFFFFFFF
         )
         if not valid:
             self.dropped += 1
@@ -556,8 +559,7 @@ class CheckIPHeader(Element):
         append = out.append
         dropped = 0
         for packet in packets:
-            fields = packet.fields
-            if 0 < fields[IP_TTL] <= 255 and fields[IP_SRC] != 0xFFFFFFFF:
+            if 0 < packet.ip_ttl <= 255 and packet.ip_src != 0xFFFFFFFF:
                 append(packet)
             else:
                 dropped += 1

@@ -26,7 +26,6 @@ from repro.click.element import (
     parse_float_arg,
     register_element,
 )
-from repro.click.packet import IP_DST, IP_SRC
 from repro.common.addr import parse_ip
 from repro.common.errors import ConfigError
 
@@ -81,9 +80,9 @@ class ChangeEnforcer(Element):
         if port == self.TO_MODULE:
             # Outside world talking to the module: always allowed, and
             # implicitly authorizes responses to the sender.
-            self.authorized[packet[IP_SRC]] = now
+            self.authorized[packet.ip_src] = now
             return [(self.TO_MODULE, packet)]
-        destination = packet[IP_DST]
+        destination = packet.ip_dst
         if destination in self.whitelist:
             return [(self.FROM_MODULE, packet)]
         last_seen = self.authorized.get(destination)

@@ -19,14 +19,7 @@ from repro.click.element import (
     parse_int_arg,
     register_element,
 )
-from repro.click.packet import (
-    ICMP,
-    IP_DST,
-    IP_PROTO,
-    IP_SRC,
-    IP_TOS,
-    IP_TTL,
-)
+from repro.click.packet import ICMP, IP_TOS, IP_TTL
 from repro.common.errors import ConfigError
 
 
@@ -145,13 +138,13 @@ class SetIPTTL(Element):
             raise ConfigError("TTL must be 1..255")
 
     def push(self, port: int, packet) -> PushResult:
-        packet[IP_TTL] = self.ttl
+        packet.ip_ttl = self.ttl
         return [(0, packet)]
 
     def push_batch(self, port: int, packets: List) -> PushBatchResult:
         ttl = self.ttl
         for packet in packets:
-            packet.fields[IP_TTL] = ttl
+            packet.ip_ttl = ttl
         return [(0, packets)]
 
     def push_columns(self, port: int, cols) -> PushColumnsResult:
@@ -174,13 +167,13 @@ class SetIPTOS(Element):
             raise ConfigError("TOS must be 0..255")
 
     def push(self, port: int, packet) -> PushResult:
-        packet[IP_TOS] = self.tos
+        packet.ip_tos = self.tos
         return [(0, packet)]
 
     def push_batch(self, port: int, packets: List) -> PushBatchResult:
         tos = self.tos
         for packet in packets:
-            packet.fields[IP_TOS] = tos
+            packet.ip_tos = tos
         return [(0, packets)]
 
     def push_columns(self, port: int, cols) -> PushColumnsResult:
@@ -203,10 +196,9 @@ class ICMPPingResponder(Element):
         self.replies = 0
 
     def push(self, port: int, packet) -> PushResult:
-        if packet[IP_PROTO] != ICMP:
+        if packet.ip_proto != ICMP:
             return []
-        packet[IP_SRC], packet[IP_DST] = (
-            packet[IP_DST], packet[IP_SRC],
-        )
+        packet.ip_src, packet.ip_dst = packet.ip_dst, packet.ip_src
+        packet._fkey = packet._fhash = None
         self.replies += 1
         return [(0, packet)]

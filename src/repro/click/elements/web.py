@@ -12,15 +12,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.click.element import Element, PushResult, register_element
-from repro.click.packet import (
-    IP_DST,
-    IP_PROTO,
-    IP_SRC,
-    PAYLOAD,
-    TP_DST,
-    TP_SRC,
-    UDP,
-)
+from repro.click.packet import PAYLOAD, UDP
 
 
 @register_element("EchoResponder")
@@ -39,12 +31,13 @@ class EchoResponder(Element):
         self.replies = 0
 
     def push(self, port: int, packet) -> PushResult:
-        if packet[IP_PROTO] != UDP:
+        if packet.ip_proto != UDP:
             return []
-        packet[IP_SRC], packet[IP_DST] = packet[IP_DST], packet[IP_SRC]
-        packet[TP_SRC], packet[TP_DST] = packet[TP_DST], packet[TP_SRC]
+        packet.ip_src, packet.ip_dst = packet.ip_dst, packet.ip_src
+        packet.tp_src, packet.tp_dst = packet.tp_dst, packet.tp_src
+        packet._fkey = packet._fhash = None
         if self.response_payload is not None:
-            packet[PAYLOAD] = self.response_payload
+            packet.payload = self.response_payload
         self.replies += 1
         return [(0, packet)]
 
@@ -80,23 +73,25 @@ class ReverseProxy(Element):
 
     def push(self, port: int, packet) -> PushResult:
         if port == self.CLIENT_SIDE:
-            own_addr = packet[IP_DST]  # the address the client contacted
-            self.sessions[packet[TP_SRC]] = (
-                packet[IP_SRC], packet[TP_SRC], own_addr,
+            own_addr = packet.ip_dst  # the address the client contacted
+            self.sessions[packet.tp_src] = (
+                packet.ip_src, packet.tp_src, own_addr,
             )
-            packet[IP_SRC] = own_addr
-            packet[IP_DST] = self.origin_addr
-            packet[TP_DST] = self.origin_port
+            packet.ip_src = own_addr
+            packet.ip_dst = self.origin_addr
+            packet.tp_dst = self.origin_port
+            packet._fkey = packet._fhash = None
             return [(self.ORIGIN_SIDE, packet)]
         # Response from the origin: relay to the recorded client,
         # sourced from the proxy's own address.
-        session = self.sessions.get(packet[TP_DST])
+        session = self.sessions.get(packet.tp_dst)
         if session is None:
             return []
         client_addr, client_port, own_addr = session
-        packet[IP_SRC] = own_addr
-        packet[IP_DST] = client_addr
-        packet[TP_DST] = client_port
+        packet.ip_src = own_addr
+        packet.ip_dst = client_addr
+        packet.tp_dst = client_port
+        packet._fkey = packet._fhash = None
         return [(self.CLIENT_SIDE, packet)]
 
 
@@ -131,10 +126,11 @@ class GeoDNSServer(Element):
     RESPONSE_BYTES = 512
 
     def push(self, port: int, packet) -> PushResult:
-        replica = self.nearest_replica(packet[IP_SRC])
-        packet[IP_SRC], packet[IP_DST] = packet[IP_DST], packet[IP_SRC]
-        packet[TP_SRC], packet[TP_DST] = packet[TP_DST], packet[TP_SRC]
-        packet[PAYLOAD] = ("A %s" % replica).encode()
+        replica = self.nearest_replica(packet.ip_src)
+        packet.ip_src, packet.ip_dst = packet.ip_dst, packet.ip_src
+        packet.tp_src, packet.tp_dst = packet.tp_dst, packet.tp_src
+        packet._fkey = packet._fhash = None
+        packet.payload = ("A %s" % replica).encode()
         packet.length = max(packet.length, self.RESPONSE_BYTES)
         self.answers += 1
         return [(0, packet)]
@@ -168,7 +164,8 @@ class LoadBalancer(Element):
         key = packet.flow_key()
         index = hash(key) % len(self.backends)
         self.assignments[key] = index
-        packet[IP_DST] = self.backends[index]
+        packet.ip_dst = self.backends[index]
+        packet._fkey = packet._fhash = None
         return [(0, packet)]
 
 
@@ -199,7 +196,7 @@ class ExplicitProxy(Element):
         from repro.common.addr import parse_ip
         from repro.common.errors import ConfigError
 
-        payload = packet.get(PAYLOAD) or b""
+        payload = getattr(packet, PAYLOAD, None) or b""
         if isinstance(payload, bytes):
             payload = payload.decode(errors="ignore")
         upstream = None
@@ -211,8 +208,9 @@ class ExplicitProxy(Element):
                 continue
         if upstream is None:
             return []
-        packet[IP_SRC] = self.proxy_addr
-        packet[IP_DST] = upstream
+        packet.ip_src = self.proxy_addr
+        packet.ip_dst = upstream
+        packet._fkey = packet._fhash = None
         self.fetches += 1
         return [(0, packet)]
 

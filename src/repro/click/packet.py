@@ -1,11 +1,13 @@
 """The packet abstraction shared by the concrete and symbolic dataplanes.
 
-A :class:`Packet` is a mapping from header-field names to values plus an
-opaque payload.  The field names below are the canonical vocabulary used
-everywhere in the library -- by concrete Click elements, by the symbolic
-models in :mod:`repro.symexec`, and by the policy language -- so that a
-flow specification written against ``tp_dst`` constrains the same thing
-the dataplane rewrites.
+A :class:`Packet` is a record of header fields plus an opaque payload,
+read as attributes (``packet.ip_dst``) or as a mapping from field names
+to values (``packet["ip_dst"]``, ``packet.fields``).  The field names
+below are the canonical vocabulary used everywhere in the library -- by
+concrete Click elements, by the symbolic models in
+:mod:`repro.symexec`, and by the policy language -- so that a flow
+specification written against ``tp_dst`` constrains the same thing the
+dataplane rewrites.
 
 Tunnel elements (``IPEncap``/``UDPIPEncap``) push the current headers onto
 an encapsulation stack and install fresh outer headers; ``IPDecap`` pops
@@ -16,7 +18,9 @@ destination address only becomes visible at decapsulation time.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional
+from collections.abc import MutableMapping
+from operator import attrgetter
+from typing import Any, Dict, Iterator, List, Optional
 
 # Re-exported so `repro.click.packet` remains the natural import site for
 # dataplane code; the constants themselves live in repro.common.fields to
@@ -47,18 +51,8 @@ from repro.common.fields import (  # noqa: F401
 
 _packet_ids = itertools.count(1)
 
-#: The header fields every ``Packet()`` starts from.
-_DEFAULT_FIELDS: Dict[str, Any] = {
-    IP_SRC: 0,
-    IP_DST: 0,
-    IP_PROTO: UDP,
-    IP_TTL: 64,
-    IP_TOS: 0,
-    TP_SRC: 0,
-    TP_DST: 0,
-    TCP_FLAGS: 0,
-    PAYLOAD: b"",
-}
+_HEADER_SET = frozenset(HEADER_FIELDS)
+_headers_of = attrgetter(*HEADER_FIELDS)
 
 _MASK64 = (1 << 64) - 1
 
@@ -81,26 +75,38 @@ def _mix64(x: int) -> int:
 class Packet:
     """A concrete network packet.
 
-    ``fields`` holds the canonical header fields; ``annotations`` holds
-    Click-style annotations (paint color, firewall tag, ...), which travel
-    with the packet but are not part of the wire format.
+    Each of the nine :data:`HEADER_FIELDS` is a slot of its own, read
+    and written as an attribute (``packet.ip_dst``); a header field a
+    packet lacks (a tunnel header without ports) is an unset slot.
+    Fields outside ``HEADER_FIELDS`` live in a dict that is created on
+    their first write.  ``annotations`` holds Click-style annotations
+    (paint color, firewall tag, ...), which travel with the packet but
+    are not part of the wire format.
 
-    A packet pays only for the state it carries: the annotation dict
-    and the encapsulation stack are created on first write (their slots
-    hold ``None`` until then), and ``uid`` is drawn on first read.  The
-    public ``annotations``/``encap_stack`` attributes create their
-    container on access; in-tree hot paths read through
-    :meth:`annotation` and :attr:`encap_depth` instead, which never
-    allocate.
+    The mapping protocol (``packet[name]``, ``name in packet``,
+    :meth:`get`) and the :attr:`fields` view read and write the same
+    state by name, reset the cached flow key on a 5-tuple write, and
+    raise ``KeyError`` for a name that is not a field (``length``,
+    ``copy``).  Direct attribute writes skip that reset: the in-tree hot
+    loops that write a 5-tuple attribute clear ``_fkey``/``_fhash``
+    themselves.
+
+    A packet pays only for the state it carries: the custom-field
+    dict, the annotation dict and the encapsulation stack are created
+    on first write (their slots hold ``None`` until then), and ``uid``
+    is drawn on first read.  The public ``annotations``/``encap_stack``
+    attributes create their container on access; in-tree hot paths
+    read through :meth:`annotation` and :attr:`encap_depth` instead,
+    which never allocate.
 
     >>> from repro.common import parse_ip
     >>> p = Packet(ip_src=parse_ip("10.0.0.1"), ip_proto=UDP, tp_dst=1500)
-    >>> p[TP_DST]
-    1500
+    >>> p.tp_dst, p[TP_DST]
+    (1500, 1500)
     """
 
-    __slots__ = (
-        "fields", "_annotations", "_encap", "length", "_uid",
+    __slots__ = HEADER_FIELDS + (
+        "_extra", "_annotations", "_encap", "length", "_uid",
         "_fkey", "_fhash",
     )
 
@@ -113,7 +119,17 @@ class Packet:
         annotations: Optional[Dict[str, Any]] = None,
         **fields: Any,
     ):
-        self.fields: Dict[str, Any] = {**_DEFAULT_FIELDS, **fields}
+        pop = fields.pop
+        self.ip_src = pop(IP_SRC, 0)
+        self.ip_dst = pop(IP_DST, 0)
+        self.ip_proto = pop(IP_PROTO, UDP)
+        self.ip_ttl = pop(IP_TTL, 64)
+        self.ip_tos = pop(IP_TOS, 0)
+        self.tp_src = pop(TP_SRC, 0)
+        self.tp_dst = pop(TP_DST, 0)
+        self.tcp_flags = pop(TCP_FLAGS, 0)
+        self.payload = pop(PAYLOAD, b"")
+        self._extra = fields or None  # what is left: custom fields
         self._annotations = dict(annotations) if annotations else None
         self._encap = None
         self.length = length
@@ -178,34 +194,93 @@ class Packet:
         self._uid = value
 
     # -- mapping-style access ---------------------------------------------
+    @property
+    def fields(self) -> "PacketFields":
+        """A live mapping view of every field the packet carries."""
+        return PacketFields(self)
+
     def __getitem__(self, field: str) -> Any:
-        return self.fields[field]
+        if field in _HEADER_SET:
+            try:
+                return getattr(self, field)
+            except AttributeError:
+                raise KeyError(field) from None
+        extra = self._extra
+        if extra is None:
+            raise KeyError(field)
+        return extra[field]
 
     def __setitem__(self, field: str, value: Any) -> None:
-        self.fields[field] = value
-        if field in self._FLOW_FIELDS:
-            self._fkey = None
-            self._fhash = None
+        if field in _HEADER_SET:
+            setattr(self, field, value)
+            if field in self._FLOW_FIELDS:
+                self._fkey = None
+                self._fhash = None
+        else:
+            extra = self._extra
+            if extra is None:
+                self._extra = {field: value}
+            else:
+                extra[field] = value
 
     def __contains__(self, field: str) -> bool:
-        return field in self.fields
+        if field in _HEADER_SET:
+            return hasattr(self, field)
+        extra = self._extra
+        return extra is not None and field in extra
 
     def get(self, field: str, default: Any = None) -> Any:
-        """Return a header field, or ``default`` if unset."""
-        return self.fields.get(field, default)
+        """Return a field, or ``default`` if unset."""
+        if field in _HEADER_SET:
+            return getattr(self, field, default)
+        extra = self._extra
+        if extra is None:
+            return default
+        return extra.get(field, default)
+
+    def _field_dict(self) -> Dict[str, Any]:
+        """Every field as a new dict: header fields in ``HEADER_FIELDS``
+        order, then custom fields in the order they were first set."""
+        try:
+            fields = dict(zip(HEADER_FIELDS, _headers_of(self)))
+        except AttributeError:
+            fields = {
+                name: getattr(self, name)
+                for name in HEADER_FIELDS if hasattr(self, name)
+            }
+        extra = self._extra
+        if extra:
+            fields.update(extra)
+        return fields
 
     # -- lifecycle ----------------------------------------------------------
     def copy(self) -> "Packet":
         """Deep-enough copy: fields, annotations and encap stack.
 
-        State the original does not carry (no annotation, no
-        encapsulation) is not allocated on the clone either, and the
-        clone draws its own ``uid`` when that is first read.
+        State the original does not carry (no custom field, no
+        annotation, no encapsulation) is not allocated on the clone
+        either, and the clone draws its own ``uid`` when that is first
+        read.
         """
+        extra = self._extra
         annotations = self._annotations
         stack = self._encap
         clone = Packet.__new__(Packet)
-        clone.fields = dict(self.fields)
+        try:
+            clone.ip_src = self.ip_src
+            clone.ip_dst = self.ip_dst
+            clone.ip_proto = self.ip_proto
+            clone.ip_ttl = self.ip_ttl
+            clone.ip_tos = self.ip_tos
+            clone.tp_src = self.tp_src
+            clone.tp_dst = self.tp_dst
+            clone.tcp_flags = self.tcp_flags
+            clone.payload = self.payload
+        except AttributeError:  # a header field the packet lacks
+            for name in HEADER_FIELDS:
+                if hasattr(self, name):
+                    setattr(clone, name, getattr(self, name))
+        clone._extra = dict(extra) if extra else None
         clone._annotations = dict(annotations) if annotations else None
         clone._encap = [dict(layer) for layer in stack] if stack else None
         clone.length = self.length
@@ -221,24 +296,45 @@ class Packet:
         """``n`` independent copies, cheaper than ``n`` ``copy()`` calls.
 
         Bulk traffic generation (benchmark and simulator injectors)
-        clones one template packet thousands of times; this amortizes
-        the attribute and method lookups of :meth:`copy` over the whole
-        run and skips the default-field-dict construction that
-        ``Packet()`` would redo per clone.  A clone of a plain template
-        is one ``Packet`` plus one field dict.
+        clones one template packet thousands of times; this reads the
+        template once and amortizes the lookups over the whole run.  A
+        clone of a plain template is one ``Packet`` object and nothing
+        else.
         """
-        fields = self.fields
+        if n <= 0:
+            return []
+        # The first clone is an ordinary copy; the rest repeat its
+        # header values, which also leaves a header field the template
+        # lacks unset on every clone.
+        first = self.copy()
+        clones = [first]
+        try:
+            src, dst, proto, ttl, tos, sport, dport, flags, payload = (
+                _headers_of(first)
+            )
+        except AttributeError:
+            clones.extend(self.copy() for _ in range(n - 1))
+            return clones
+        extra = self._extra or None
         annotations = self._annotations or None
         stack = self._encap or None
         length = self.length
         fkey = self._fkey
         fhash = self._fhash
         new = Packet.__new__
-        clones: List[Packet] = []
         append = clones.append
-        for _ in range(n):
+        for _ in range(n - 1):
             clone = new(Packet)
-            clone.fields = dict(fields)
+            clone.ip_src = src
+            clone.ip_dst = dst
+            clone.ip_proto = proto
+            clone.ip_ttl = ttl
+            clone.ip_tos = tos
+            clone.tp_src = sport
+            clone.tp_dst = dport
+            clone.tcp_flags = flags
+            clone.payload = payload
+            clone._extra = None if extra is None else dict(extra)
             clone._annotations = (
                 None if annotations is None else dict(annotations)
             )
@@ -259,14 +355,14 @@ class Packet:
         Fields not named in ``outer`` keep their current values in the new
         outer header (TTL, TOS...).
         """
-        inner = dict(self.fields)
+        inner = self._field_dict()
         stack = self._encap
         if stack is None:
             self._encap = [inner]
         else:
             stack.append(inner)
         for name, value in outer.items():
-            self.fields[name] = value
+            self[name] = value
         self._fkey = None
         self._fhash = None
 
@@ -275,7 +371,17 @@ class Packet:
         stack = self._encap
         if not stack:
             raise ValueError("decapsulate() on a packet with no encap stack")
-        self.fields = stack.pop()
+        inner = stack.pop()
+        for name in HEADER_FIELDS:
+            if name in inner:
+                setattr(self, name, inner[name])
+            elif hasattr(self, name):
+                delattr(self, name)
+        extra = {
+            name: value for name, value in inner.items()
+            if name not in _HEADER_SET
+        }
+        self._extra = extra or None
         self._fkey = None
         self._fhash = None
 
@@ -288,9 +394,9 @@ class Packet:
     # -- convenience -----------------------------------------------------------
     def is_tcp_syn(self) -> bool:
         """Whether this is a bare TCP SYN (connection-opening) packet."""
-        flags = self.fields.get(TCP_FLAGS, 0)
+        flags = getattr(self, TCP_FLAGS, 0)
         return (
-            self.fields.get(IP_PROTO) == TCP
+            getattr(self, IP_PROTO, None) == TCP
             and bool(flags & TH_SYN)
             and not flags & TH_ACK
         )
@@ -298,18 +404,20 @@ class Packet:
     def flow_key(self):
         """The 5-tuple identifying this packet's flow.
 
-        Cached per packet; the cache is invalidated by
-        :meth:`__setitem__` on a 5-tuple field and by
-        encapsulation/decapsulation.  Code that writes
-        ``packet.fields`` directly (hot batch loops, columnar
-        materialization) must clear ``_fkey``/``_fhash`` itself.
+        Cached per packet; the cache is invalidated by a 5-tuple write
+        through the mapping protocol or :attr:`fields`, and by
+        encapsulation/decapsulation.  A packet that lacks one of the
+        five fields raises ``KeyError``.
         """
         key = self._fkey
         if key is None:
-            f = self.fields
-            key = self._fkey = (
-                f[IP_SRC], f[IP_DST], f[IP_PROTO], f[TP_SRC], f[TP_DST],
-            )
+            try:
+                key = self._fkey = (
+                    self.ip_src, self.ip_dst, self.ip_proto,
+                    self.tp_src, self.tp_dst,
+                )
+            except AttributeError as exc:
+                raise KeyError(exc.name) from None
         return key
 
     def flow_hash(self) -> int:
@@ -340,12 +448,11 @@ class Packet:
         cached = self._fhash
         if cached is not None:
             return cached
-        get = self.fields.get
-        src = get(IP_SRC) or 0
-        dst = get(IP_DST) or 0
-        proto = get(IP_PROTO) or 0
-        sport = get(TP_SRC) or 0
-        dport = get(TP_DST) or 0
+        src = getattr(self, IP_SRC, None) or 0
+        dst = getattr(self, IP_DST, None) or 0
+        proto = getattr(self, IP_PROTO, None) or 0
+        sport = getattr(self, TP_SRC, None) or 0
+        dport = getattr(self, TP_DST, None) or 0
         a = _mix64((src << 16) ^ sport)
         b = _mix64((dst << 16) ^ dport)
         # xor and sum are both order-free, so (a, b) and (b, a) mix to
@@ -357,18 +464,71 @@ class Packet:
 
     def reverse_flow_key(self):
         """The 5-tuple of the reverse direction of this packet's flow."""
-        f = self.fields
-        return (f[IP_DST], f[IP_SRC], f[IP_PROTO], f[TP_DST], f[TP_SRC])
+        src, dst, proto, sport, dport = self.flow_key()
+        return (dst, src, proto, dport, sport)
 
     def __repr__(self) -> str:
         from repro.common.addr import format_ip
 
-        proto = PROTO_NAMES.get(self.fields.get(IP_PROTO), "?")
+        get = self.get
         return "Packet(%s %s:%s -> %s:%s len=%d)" % (
-            proto,
-            format_ip(self.fields.get(IP_SRC, 0)),
-            self.fields.get(TP_SRC, 0),
-            format_ip(self.fields.get(IP_DST, 0)),
-            self.fields.get(TP_DST, 0),
+            PROTO_NAMES.get(get(IP_PROTO), "?"),
+            format_ip(get(IP_SRC, 0)),
+            get(TP_SRC, 0),
+            format_ip(get(IP_DST, 0)),
+            get(TP_DST, 0),
             self.length,
         )
+
+
+class PacketFields(MutableMapping):
+    """The live mapping view :attr:`Packet.fields` returns.
+
+    Reads and writes go through the packet's mapping protocol, so a
+    5-tuple write resets the cached flow key; deleting a header field
+    unsets its slot.  Iteration yields the header fields a packet
+    carries in ``HEADER_FIELDS`` order, then custom fields in the order
+    they were first set.
+    """
+
+    __slots__ = ("_packet",)
+
+    def __init__(self, packet: Packet):
+        self._packet = packet
+
+    def __getitem__(self, field: str) -> Any:
+        return self._packet[field]
+
+    def __setitem__(self, field: str, value: Any) -> None:
+        self._packet[field] = value
+
+    def __delitem__(self, field: str) -> None:
+        packet = self._packet
+        if field in _HEADER_SET:
+            try:
+                delattr(packet, field)
+            except AttributeError:
+                raise KeyError(field) from None
+            if field in Packet._FLOW_FIELDS:
+                packet._fkey = None
+                packet._fhash = None
+        else:
+            extra = packet._extra
+            if extra is None:
+                raise KeyError(field)
+            del extra[field]
+
+    def __contains__(self, field: object) -> bool:
+        return field in self._packet
+
+    def get(self, field: str, default: Any = None) -> Any:
+        return self._packet.get(field, default)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._packet._field_dict())
+
+    def __len__(self) -> int:
+        return len(self._packet._field_dict())
+
+    def __repr__(self) -> str:
+        return "PacketFields(%r)" % (self._packet._field_dict(),)

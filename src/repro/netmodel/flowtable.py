@@ -70,7 +70,7 @@ class FlowRule:
     def matches(self, packet) -> bool:
         """Whether a concrete packet satisfies every match field."""
         for field_name, allowed in self.match:
-            if packet.get(field_name, 0) not in allowed:
+            if getattr(packet, field_name, 0) not in allowed:
                 return False
         return True
 

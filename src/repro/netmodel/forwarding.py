@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.click.element import Element, create_element
-from repro.click.packet import IP_DST, Packet
+from repro.click.packet import Packet
 from repro.click.runtime import Runtime
 from repro.common.errors import SimulationError
 from repro.netmodel.topology import (
@@ -170,7 +170,7 @@ class ForwardingPlane:
             ))
             return
         if isinstance(node, Router):
-            out_port = node.table.lookup(packet[IP_DST])
+            out_port = node.table.lookup(packet.ip_dst)
             if out_port is None or out_port not in node.ports:
                 self.stats.dropped_no_route += 1
                 return
@@ -267,7 +267,7 @@ class ForwardingPlane:
             for other in self._modules[platform_name]:
                 if (
                     other is not instance
-                    and out_packet[IP_DST] == other.address
+                    and out_packet.ip_dst == other.address
                 ):
                     other.inject(out_packet)
                     self._drain_module(platform_name, other,

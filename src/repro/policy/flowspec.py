@@ -107,7 +107,7 @@ class Clause:
     def matches(self, packet) -> bool:
         """Whether a concrete packet satisfies every constraint."""
         for field, allowed in self._constraints.items():
-            if packet.get(field, 0) not in allowed:
+            if getattr(packet, field, 0) not in allowed:
                 return False
         return True
 
