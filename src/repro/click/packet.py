@@ -303,9 +303,10 @@ class Packet:
         """
         if n <= 0:
             return []
-        # The first clone is an ordinary copy; the rest repeat its
-        # header values, which also leaves a header field the template
-        # lacks unset on every clone.
+        # The first clone is an ordinary copy and the rest repeat its
+        # header values; a template that lacks a header field (a tunnel
+        # header without ports) is copied one clone at a time instead,
+        # so the field stays unset on every clone.
         first = self.copy()
         clones = [first]
         try:
