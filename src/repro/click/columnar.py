@@ -43,8 +43,6 @@ from itertools import chain
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.click.packet import IP_DST, IP_PROTO, IP_SRC, TP_DST, TP_SRC
-
 try:  # pragma: no cover - exercised implicitly by every import
     import numpy as np
 except ImportError:  # pragma: no cover - CI images without numpy
@@ -58,9 +56,6 @@ MISSING = object()
 #: per-packet ``push_batch`` path wins, so the runtime routes smaller
 #: batches there (tests lower it to force the columnar path).
 MIN_BATCH = 8
-
-#: Fields whose rewrite invalidates a packet's cached flow key/hash.
-FLOW_KEY_FIELDS = frozenset((IP_SRC, IP_DST, IP_PROTO, TP_SRC, TP_DST))
 
 _length_of = attrgetter("length")
 
@@ -268,8 +263,7 @@ class PacketColumns:
     def to_packets(self) -> List:
         """Materialize surviving rows back to ``Packet`` objects.
 
-        Dirty columns are written into each survivor's header slots
-        (invalidating cached flow keys when a 5-tuple field changed);
+        Dirty columns are written into each survivor's header slots;
         pending annotations are stamped; dead rows are skipped
         entirely.  When no row died the original list object is
         returned (the runtime owns it, per the ``push_batch``
@@ -290,24 +284,11 @@ class PacketColumns:
             # a uniform column skips the tolist/zip entirely.
             value = int(col[0]) if len(col) else 0
             if bool((col == value).all()):
-                if name in FLOW_KEY_FIELDS:
-                    for packet in out:
-                        setattr(packet, name, value)
-                        packet._fkey = None
-                        packet._fhash = None
-                else:
-                    for packet in out:
-                        setattr(packet, name, value)
+                for packet in out:
+                    setattr(packet, name, value)
                 continue
-            vals = col.tolist()
-            if name in FLOW_KEY_FIELDS:
-                for packet, value in zip(out, vals):
-                    setattr(packet, name, value)
-                    packet._fkey = None
-                    packet._fhash = None
-            else:
-                for packet, value in zip(out, vals):
-                    setattr(packet, name, value)
+            for packet, value in zip(out, col.tolist()):
+                setattr(packet, name, value)
         for name, value in self.pending_annots.items():
             # Packet.annotate, inlined: the dict is made on first write.
             for packet in out:

@@ -7,7 +7,7 @@ means exactly the same thing to the dataplane and to the symbolic engine.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.click import columnar
 from repro.click.element import (
@@ -21,18 +21,119 @@ from repro.common.errors import ConfigError
 from repro.policy.flowspec import FlowSpec, parse_flowspec
 
 
-def _dnf_fields(compiled_specs) -> tuple:
-    """All header fields a sequence of compiled DNFs constrains."""
-    fields = set()
-    for clauses in compiled_specs:
-        for clause in clauses:
-            for field, _allowed in clause:
-                fields.add(field)
-    return tuple(sorted(fields))
+class FirstMatch(Element):
+    """A first-match table: each packet leaves by the first row it matches.
+
+    ``rows`` is ``[(FlowSpec, output port or None), ...]`` in match
+    order; a row whose port is ``None`` drops what it matches, and a
+    packet no row matches is dropped too.  Subclasses only parse their
+    arguments into rows (:meth:`set_rows`); the scalar, batch and
+    column executors and the symbolic model all read the same rows.
+    """
+
+    n_inputs = 1
+    cycle_cost = 1.2
+    has_column_kernel = True
+
+    def set_rows(self, rows: List[Tuple[FlowSpec, Optional[int]]]) -> None:
+        """Install the table; a subclass's ``configure`` ends here."""
+        self.rows = rows
+        # Hoisted DNF tuples for the batch loop and the column kernel.
+        self._compiled = tuple(
+            (out, spec.compiled()) for spec, out in rows
+        )
+        self.column_fields = tuple(sorted({
+            field
+            for _out, clauses in self._compiled
+            for clause in clauses
+            for field, _allowed in clause
+        }))
+        self._col_rows = None  # compiled lazily on first column batch
+        self.dropped = 0
+
+    def push(self, port: int, packet) -> PushResult:
+        for spec, out in self.rows:
+            if spec.matches(packet):
+                if out is not None:
+                    return [(out, packet)]
+                break
+        self.dropped += 1
+        return []
+
+    def push_batch(self, port: int, packets: List) -> PushBatchResult:
+        # First-match dispatch over the precompiled DNF: plain tuple
+        # loops over header attributes instead of a FlowSpec.matches()
+        # call per row per packet.  Groups keep first-emission port
+        # order (dict insertion order).
+        compiled = self._compiled
+        groups = {}
+        dropped = 0
+        for packet in packets:
+            out = None
+            for row_out, clauses in compiled:
+                matched = False
+                for clause in clauses:
+                    for field, allowed_set in clause:
+                        if getattr(packet, field, 0) not in allowed_set:
+                            break
+                    else:
+                        matched = True
+                        break
+                if matched:
+                    out = row_out
+                    break
+            if out is None:
+                dropped += 1
+            else:
+                try:
+                    groups[out].append(packet)
+                except KeyError:
+                    groups[out] = [packet]
+        if dropped:
+            self.dropped += dropped
+        return list(groups.items())
+
+    def push_columns(self, port: int, cols) -> PushColumnsResult:
+        # Each table row claims the batch rows it matches out of the
+        # still-unclaimed alive set; the scan stops once none is left.
+        # A single surviving group is killed in place; several are
+        # split in first-matching-row order, the order push_batch's
+        # dict-insertion grouping produces.
+        np = columnar.np
+        rows = self._col_rows
+        if rows is None:
+            rows = self._col_rows = tuple(
+                (out, columnar.compile_clause_matchers(clauses))
+                for out, clauses in self._compiled
+            )
+        n = cols.n
+        unclaimed = cols.alive_mask()
+        claimed = {}
+        for out, clause_matchers in rows:
+            mask = columnar.match_dnf(cols, clause_matchers, n)
+            mask &= unclaimed
+            unclaimed &= ~mask
+            if out is not None:
+                other = claimed.get(out)
+                claimed[out] = mask if other is None else other | mask
+            if not unclaimed.any():
+                break
+        groups = [(out, mask) for out, mask in claimed.items() if mask.any()]
+        before = cols.n_alive
+        if len(groups) == 1:
+            (out, mask), = groups
+            cols.kill(mask)
+            self.dropped += before - cols.n_alive
+            return [(out, cols)]
+        self.dropped += before - sum(int(mask.sum()) for _o, mask in groups)
+        if not groups:
+            return []
+        groups.sort(key=lambda g: int(np.argmax(g[1])))
+        return cols.split(groups)
 
 
 @register_element("IPFilter")
-class IPFilter(Element):
+class IPFilter(FirstMatch):
     """Sequential allow/deny rules; first match wins.
 
     Arguments are rules like ``allow udp port 1500`` / ``deny all`` /
@@ -40,211 +141,43 @@ class IPFilter(Element):
     implicit trailing ``deny all``).  Allowed packets exit on port 0.
     """
 
-    n_inputs = 1
     n_outputs = 1
-    cycle_cost = 1.2
-    has_column_kernel = True
 
     def configure(self, args: List[str]) -> None:
         if not args:
             raise ConfigError("IPFilter needs at least one rule")
-        self.rules: List[Tuple[bool, FlowSpec]] = []
+        rows = []
         for rule in args:
             action, _, spec_text = rule.strip().partition(" ")
             action = action.lower()
             if action in ("allow", "accept", "pass"):
-                allowed = True
+                out = 0
             elif action in ("deny", "drop", "reject"):
-                allowed = False
+                out = None
             else:
                 raise ConfigError("bad IPFilter action in %r" % (rule,))
-            self.rules.append((allowed, parse_flowspec(spec_text)))
-        # Hoisted DNF tuples for the vectorized batch matcher.
-        self._compiled = tuple(
-            (allowed, spec.compiled()) for allowed, spec in self.rules
-        )
-        self.column_fields = _dnf_fields(c for _a, c in self._compiled)
-        self._col_rules = None  # compiled lazily on first column batch
-        self.dropped = 0
-
-    def push(self, port: int, packet) -> PushResult:
-        for allowed, spec in self.rules:
-            if spec.matches(packet):
-                if allowed:
-                    return [(0, packet)]
-                break
-        self.dropped += 1
-        return []
-
-    def push_batch(self, port: int, packets: List) -> PushBatchResult:
-        # Vectorized first-match-wins over the precompiled DNF: plain
-        # tuple loops over header attributes instead of a
-        # FlowSpec.matches() call per rule per packet.
-        compiled = self._compiled
-        out: List = []
-        append = out.append
-        dropped = 0
-        for packet in packets:
-            verdict = False
-            for allowed, clauses in compiled:
-                matched = False
-                for clause in clauses:
-                    for field, allowed_set in clause:
-                        if getattr(packet, field, 0) not in allowed_set:
-                            break
-                    else:
-                        matched = True
-                        break
-                if matched:
-                    verdict = allowed
-                    break
-            if verdict:
-                append(packet)
-            else:
-                dropped += 1
-        if dropped:
-            self.dropped += dropped
-        if not out:
-            return []
-        return [(0, out)]
-
-    def push_columns(self, port: int, cols) -> PushColumnsResult:
-        # First-match-wins over whole columns: each rule's DNF mask is
-        # intersected with the still-undecided rows, allow rules
-        # accumulate into the verdict, and the scan stops as soon as
-        # every row is decided.
-        np = columnar.np
-        rules = self._col_rules
-        if rules is None:
-            rules = self._col_rules = tuple(
-                (allowed, columnar.compile_clause_matchers(clauses))
-                for allowed, clauses in self._compiled
-            )
-        n = cols.n
-        verdict = None
-        undecided = None
-        for allowed, clause_matchers in rules:
-            mask = columnar.match_dnf(cols, clause_matchers, n)
-            if undecided is None:
-                eligible = mask
-                undecided = ~mask
-            else:
-                eligible = mask & undecided
-                undecided &= ~mask
-            if allowed:
-                verdict = eligible if verdict is None \
-                    else verdict | eligible
-            if not undecided.any():
-                break
-        if verdict is None:
-            verdict = np.zeros(n, dtype=bool)
-        before = cols.n_alive
-        cols.kill(verdict)
-        killed = before - cols.n_alive
-        if killed:
-            self.dropped += killed
-        if not cols.n_alive:
-            return []
-        return [(0, cols)]
+            rows.append((parse_flowspec(spec_text), out))
+        self.set_rows(rows)
 
 
 @register_element("IPClassifier")
-class IPClassifier(Element):
+class IPClassifier(FirstMatch):
     """Sends each packet out the port of its first matching pattern.
 
     One flow-spec argument per output port; the last argument may be
     ``-`` to catch everything else.  Unmatched packets are dropped.
     """
 
-    n_inputs = 1
     n_outputs = None  # one output per pattern
-    cycle_cost = 1.2
-    has_column_kernel = True
 
     def configure(self, args: List[str]) -> None:
         if not args:
             raise ConfigError("IPClassifier needs at least one pattern")
-        self.patterns: List[FlowSpec] = []
-        for arg in args:
-            text = arg.strip()
-            if text == "-":
-                self.patterns.append(FlowSpec.any())
-            else:
-                self.patterns.append(parse_flowspec(text))
-        self._compiled = tuple(spec.compiled() for spec in self.patterns)
-        self.column_fields = _dnf_fields(self._compiled)
-        self._col_patterns = None  # compiled lazily on first column batch
-        self.dropped = 0
-
-    def push(self, port: int, packet) -> PushResult:
-        for index, spec in enumerate(self.patterns):
-            if spec.matches(packet):
-                return [(index, packet)]
-        self.dropped += 1
-        return []
-
-    def push_batch(self, port: int, packets: List) -> PushBatchResult:
-        # Vectorized first-match dispatch over the precompiled DNF;
-        # groups keep first-emission port order (dict insertion order).
-        compiled = self._compiled
-        groups = {}
-        dropped = 0
-        for packet in packets:
-            for index, clauses in enumerate(compiled):
-                matched = False
-                for clause in clauses:
-                    for field, allowed_set in clause:
-                        if getattr(packet, field, 0) not in allowed_set:
-                            break
-                    else:
-                        matched = True
-                        break
-                if matched:
-                    try:
-                        groups[index].append(packet)
-                    except KeyError:
-                        groups[index] = [packet]
-                    break
-            else:
-                dropped += 1
-        if dropped:
-            self.dropped += dropped
-        return list(groups.items())
-
-    def push_columns(self, port: int, cols) -> PushColumnsResult:
-        # First-match dispatch: each pattern claims its matching rows
-        # out of the still-unclaimed alive set.  Groups are emitted in
-        # first-matching-row order -- the same order push_batch's
-        # dict-insertion grouping produces -- and a single full group
-        # skips the split entirely.
-        np = columnar.np
-        patterns = self._col_patterns
-        if patterns is None:
-            patterns = self._col_patterns = tuple(
-                columnar.compile_clause_matchers(clauses)
-                for clauses in self._compiled
-            )
-        n = cols.n
-        unclaimed = cols.alive_mask()
-        groups = []
-        for index, clause_matchers in enumerate(patterns):
-            mask = columnar.match_dnf(cols, clause_matchers, n)
-            mask &= unclaimed
-            if mask.any():
-                groups.append((index, mask))
-                unclaimed &= ~mask
-                if not unclaimed.any():
-                    break
-        leftover = int(unclaimed.sum())
-        if leftover:
-            self.dropped += leftover
-        if not groups:
-            return []
-        if len(groups) == 1 and int(groups[0][1].sum()) == cols.n_alive:
-            # Every alive row matched one pattern: no split needed.
-            return [(groups[0][0], cols)]
-        groups.sort(key=lambda g: int(np.argmax(g[1])))
-        return cols.split(groups)
+        self.set_rows([
+            (FlowSpec.any() if arg.strip() == "-"
+             else parse_flowspec(arg.strip()), index)
+            for index, arg in enumerate(args)
+        ])
 
 
 @register_element("IngressFilter")

@@ -73,7 +73,6 @@ class TransparentProxy(Element):
             self.original_dst[packet.flow_key()] = packet.ip_dst
             packet.ip_dst = self.proxy_addr
             packet.tp_dst = self.proxy_port
-            packet._fkey = packet._fhash = None
             self.redirects += 1
         return [(0, packet)]
 
@@ -135,7 +134,6 @@ class WebCache(Element):
             response = packet.copy()
             response.ip_src, response.ip_dst = packet.ip_dst, packet.ip_src
             response.tp_src, response.tp_dst = packet.tp_dst, packet.tp_src
-            response._fkey = response._fhash = None
             return [(1, response)]
         self.cache.add(key)
         self.misses += 1

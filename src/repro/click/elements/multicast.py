@@ -39,7 +39,6 @@ class Multicast(Element):
             copy = packet if index == len(self.destinations) - 1 \
                 else packet.copy()
             copy.ip_dst = dest
-            copy._fkey = copy._fhash = None
             results.append((0, copy))
         return results
 
@@ -55,6 +54,5 @@ class Multicast(Element):
             for index, dest in enumerate(destinations):
                 copy = packet if index == last else packet.copy()
                 copy.ip_dst = dest
-                copy._fkey = copy._fhash = None
                 append(copy)
         return [(0, out)]

@@ -4,7 +4,8 @@
 (``pattern SADDR SPORT DADDR DPORT FOUTPUT ROUTPUT``) with ``-`` meaning
 "leave unchanged"; it is the workhorse behind the paper's NAT, the
 push-notification forwarder of Figure 4, and the Table 1 "NAT" row.
-Simpler single-field setters and TTL manipulation live here too.
+The constant setters (one ``SetField`` base) and TTL manipulation live
+here too.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ from repro.click.element import (
     parse_int_arg,
     register_element,
 )
-from repro.click.packet import IP_DST, IP_PROTO, IP_SRC, IP_TTL, TP_DST, \
-    TP_SRC
+from repro.click.packet import IP_DST, IP_PROTO, IP_SRC, IP_TOS, IP_TTL, \
+    TP_DST, TP_SRC
 from repro.common.addr import parse_ip
 from repro.common.errors import ConfigError
+from repro.common.intervals import IntervalSet
+from repro.policy.flowspec import FIELD_UNIVERSES
 
 
 @dataclass
@@ -205,7 +208,6 @@ class IPRewriter(Element):
             dst, src, _, dport, sport = original_key
             packet.ip_src, packet.tp_src = src, sport
             packet.ip_dst, packet.tp_dst = dst, dport
-            packet._fkey = packet._fhash = None
             return [(pattern.rev_output, packet)]
         pattern = self.inputs[port]
         if pattern is None:
@@ -217,7 +219,6 @@ class IPRewriter(Element):
         src, dst, _, sport, dport = rewritten
         packet.ip_src, packet.ip_dst = src, dst
         packet.tp_src, packet.tp_dst = sport, dport
-        packet._fkey = packet._fhash = None
         return [(pattern.fwd_output, packet)]
 
     def push_batch(self, port: int, packets: List) -> PushBatchResult:
@@ -245,7 +246,6 @@ class IPRewriter(Element):
                 dst, src, _, dport, sport = original_key
                 packet.ip_src, packet.tp_src = src, sport
                 packet.ip_dst, packet.tp_dst = dst, dport
-                packet._fkey = packet._fhash = None
                 out = pattern.rev_output
             else:
                 mapping = fwd_get(key)
@@ -254,7 +254,6 @@ class IPRewriter(Element):
                     src, dst, _, sport, dport = rewritten
                     packet.ip_src, packet.ip_dst = src, dst
                     packet.tp_src, packet.tp_dst = sport, dport
-                    packet._fkey = packet._fhash = None
                     out = pattern.fwd_output
                 else:
                     results = scalar_push(port, packet)
@@ -385,30 +384,60 @@ class IPRewriter(Element):
         return cols.split(groups)
 
 
-@register_element("SetIPAddress")
-class SetIPAddress(Element):
-    """Sets the destination IP address to a constant."""
+class SetField(Element):
+    """Writes one header field to a configured constant.
 
-    cycle_cost = 0.5
+    A setter is a declaration: the ``field`` it writes, how to
+    ``parse`` its one argument, and, where the field's own universe
+    (``FIELD_UNIVERSES``) is too wide, a narrower ``universe``.  A
+    constant outside it is refused at configure time, so no executor
+    can emit a value the symbolic model does not hold.
+    """
+
+    field = ""
+    universe: Optional[IntervalSet] = None
     has_column_kernel = True
-    column_fields = (IP_DST,)
+
+    def parse(self, text: str) -> int:
+        return parse_int_arg(text, self.field)
 
     def configure(self, args: List[str]) -> None:
         self.require_args(args, 1)
-        self.address = parse_ip(args[0])
+        value = self.parse(args[0])
+        universe = self.universe or FIELD_UNIVERSES[self.field]
+        if value not in universe:
+            (low, high), = universe.intervals
+            raise ConfigError("%s: %s %d is outside %d..%d" % (
+                self.class_name, self.field, value, low, high))
+        self.value = value
+        self.column_fields = (self.field,)
 
     def push(self, port: int, packet) -> PushResult:
-        packet.ip_dst = self.address
-        packet._fkey = packet._fhash = None
+        setattr(packet, self.field, self.value)
         return [(0, packet)]
 
+    def push_batch(self, port: int, packets: List) -> PushBatchResult:
+        field, value = self.field, self.value
+        for packet in packets:
+            setattr(packet, field, value)
+        return [(0, packets)]
+
     def push_columns(self, port: int, cols) -> PushColumnsResult:
-        cols.set_all(IP_DST, self.address)
+        cols.set_all(self.field, self.value)
         return [(0, cols)]
 
 
+@register_element("SetIPAddress")
+class SetIPAddress(SetField):
+    """Sets the destination IP address to a constant."""
+
+    field = IP_DST
+    parse = staticmethod(parse_ip)
+    cycle_cost = 0.5
+
+
 @register_element("SetIPSrc")
-class SetIPSrc(Element):
+class SetIPSrc(SetField):
     """Sets the source IP address to a constant (spoofing primitive).
 
     Exists so tests and Table 1 can exercise the anti-spoofing security
@@ -416,66 +445,42 @@ class SetIPSrc(Element):
     unless the address equals the module's assigned address.
     """
 
+    field = IP_SRC
+    parse = staticmethod(parse_ip)
     cycle_cost = 0.5
-    has_column_kernel = True
-    column_fields = (IP_SRC,)
-
-    def configure(self, args: List[str]) -> None:
-        self.require_args(args, 1)
-        self.address = parse_ip(args[0])
-
-    def push(self, port: int, packet) -> PushResult:
-        packet.ip_src = self.address
-        packet._fkey = packet._fhash = None
-        return [(0, packet)]
-
-    def push_columns(self, port: int, cols) -> PushColumnsResult:
-        cols.set_all(IP_SRC, self.address)
-        return [(0, cols)]
 
 
 @register_element("SetTPDst")
-class SetTPDst(Element):
+class SetTPDst(SetField):
     """Sets the transport destination port to a constant."""
 
+    field = TP_DST
     cycle_cost = 0.4
-    has_column_kernel = True
-    column_fields = (TP_DST,)
-
-    def configure(self, args: List[str]) -> None:
-        self.require_args(args, 1)
-        self.port_value = parse_int_arg(args[0], "port")
-
-    def push(self, port: int, packet) -> PushResult:
-        packet.tp_dst = self.port_value
-        packet._fkey = packet._fhash = None
-        return [(0, packet)]
-
-    def push_columns(self, port: int, cols) -> PushColumnsResult:
-        cols.set_all(TP_DST, self.port_value)
-        return [(0, cols)]
 
 
 @register_element("SetTPSrc")
-class SetTPSrc(Element):
+class SetTPSrc(SetField):
     """Sets the transport source port to a constant."""
 
+    field = TP_SRC
     cycle_cost = 0.4
-    has_column_kernel = True
-    column_fields = (TP_SRC,)
 
-    def configure(self, args: List[str]) -> None:
-        self.require_args(args, 1)
-        self.port_value = parse_int_arg(args[0], "port")
 
-    def push(self, port: int, packet) -> PushResult:
-        packet.tp_src = self.port_value
-        packet._fkey = packet._fhash = None
-        return [(0, packet)]
+@register_element("SetIPTTL")
+class SetIPTTL(SetField):
+    """Stamps a constant TTL (1..255: a TTL of 0 is already expired)."""
 
-    def push_columns(self, port: int, cols) -> PushColumnsResult:
-        cols.set_all(TP_SRC, self.port_value)
-        return [(0, cols)]
+    field = IP_TTL
+    universe = IntervalSet.from_interval(1, 255)
+    cycle_cost = 0.3
+
+
+@register_element("SetIPTOS")
+class SetIPTOS(SetField):
+    """Stamps a constant TOS/DSCP byte (traffic prioritization)."""
+
+    field = IP_TOS
+    cycle_cost = 0.3
 
 
 @register_element("DecIPTTL")

@@ -1,9 +1,10 @@
-"""Port-selection and header-stamping elements.
+"""Port-selection elements and an ICMP responder.
 
 The remaining vanilla-Click vocabulary the paper's configurations could
 reasonably use: static and round-robin output switches, a rate meter,
-TTL/TOS stampers, and an ICMP ping responder (another safe
-responder-style module in the EchoResponder family).
+and an ICMP ping responder (another safe responder-style module in the
+EchoResponder family).  The TTL/TOS stampers are ``SetField``
+declarations in :mod:`repro.click.elements.rewrite`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.click.element import (
     parse_int_arg,
     register_element,
 )
-from repro.click.packet import ICMP, IP_TOS, IP_TTL
+from repro.click.packet import ICMP
 from repro.common.errors import ConfigError
 
 
@@ -123,64 +124,6 @@ class Meter(Element):
         return "measures an aggregate rate across all flows"
 
 
-@register_element("SetIPTTL")
-class SetIPTTL(Element):
-    """Stamps a constant TTL."""
-
-    cycle_cost = 0.3
-    has_column_kernel = True
-    column_fields = (IP_TTL,)
-
-    def configure(self, args: List[str]) -> None:
-        self.require_args(args, 1)
-        self.ttl = parse_int_arg(args[0], "ttl")
-        if not 1 <= self.ttl <= 255:
-            raise ConfigError("TTL must be 1..255")
-
-    def push(self, port: int, packet) -> PushResult:
-        packet.ip_ttl = self.ttl
-        return [(0, packet)]
-
-    def push_batch(self, port: int, packets: List) -> PushBatchResult:
-        ttl = self.ttl
-        for packet in packets:
-            packet.ip_ttl = ttl
-        return [(0, packets)]
-
-    def push_columns(self, port: int, cols) -> PushColumnsResult:
-        cols.set_all(IP_TTL, self.ttl)
-        return [(0, cols)]
-
-
-@register_element("SetIPTOS")
-class SetIPTOS(Element):
-    """Stamps a constant TOS/DSCP byte (traffic prioritization)."""
-
-    cycle_cost = 0.3
-    has_column_kernel = True
-    column_fields = (IP_TOS,)
-
-    def configure(self, args: List[str]) -> None:
-        self.require_args(args, 1)
-        self.tos = parse_int_arg(args[0], "tos")
-        if not 0 <= self.tos <= 255:
-            raise ConfigError("TOS must be 0..255")
-
-    def push(self, port: int, packet) -> PushResult:
-        packet.ip_tos = self.tos
-        return [(0, packet)]
-
-    def push_batch(self, port: int, packets: List) -> PushBatchResult:
-        tos = self.tos
-        for packet in packets:
-            packet.ip_tos = tos
-        return [(0, packets)]
-
-    def push_columns(self, port: int, cols) -> PushColumnsResult:
-        cols.set_all(IP_TOS, self.tos)
-        return [(0, cols)]
-
-
 @register_element("ICMPPingResponder")
 class ICMPPingResponder(Element):
     """Answers ICMP echo requests by swapping source and destination.
@@ -199,6 +142,5 @@ class ICMPPingResponder(Element):
         if packet.ip_proto != ICMP:
             return []
         packet.ip_src, packet.ip_dst = packet.ip_dst, packet.ip_src
-        packet._fkey = packet._fhash = None
         self.replies += 1
         return [(0, packet)]

@@ -35,7 +35,6 @@ class EchoResponder(Element):
             return []
         packet.ip_src, packet.ip_dst = packet.ip_dst, packet.ip_src
         packet.tp_src, packet.tp_dst = packet.tp_dst, packet.tp_src
-        packet._fkey = packet._fhash = None
         if self.response_payload is not None:
             packet.payload = self.response_payload
         self.replies += 1
@@ -80,7 +79,6 @@ class ReverseProxy(Element):
             packet.ip_src = own_addr
             packet.ip_dst = self.origin_addr
             packet.tp_dst = self.origin_port
-            packet._fkey = packet._fhash = None
             return [(self.ORIGIN_SIDE, packet)]
         # Response from the origin: relay to the recorded client,
         # sourced from the proxy's own address.
@@ -91,7 +89,6 @@ class ReverseProxy(Element):
         packet.ip_src = own_addr
         packet.ip_dst = client_addr
         packet.tp_dst = client_port
-        packet._fkey = packet._fhash = None
         return [(self.CLIENT_SIDE, packet)]
 
 
@@ -129,7 +126,6 @@ class GeoDNSServer(Element):
         replica = self.nearest_replica(packet.ip_src)
         packet.ip_src, packet.ip_dst = packet.ip_dst, packet.ip_src
         packet.tp_src, packet.tp_dst = packet.tp_dst, packet.tp_src
-        packet._fkey = packet._fhash = None
         packet.payload = ("A %s" % replica).encode()
         packet.length = max(packet.length, self.RESPONSE_BYTES)
         self.answers += 1
@@ -165,7 +161,6 @@ class LoadBalancer(Element):
         index = hash(key) % len(self.backends)
         self.assignments[key] = index
         packet.ip_dst = self.backends[index]
-        packet._fkey = packet._fhash = None
         return [(0, packet)]
 
 
@@ -210,7 +205,6 @@ class ExplicitProxy(Element):
             return []
         packet.ip_src = self.proxy_addr
         packet.ip_dst = upstream
-        packet._fkey = packet._fhash = None
         self.fetches += 1
         return [(0, packet)]
 

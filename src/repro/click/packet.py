@@ -53,6 +53,7 @@ _packet_ids = itertools.count(1)
 
 _HEADER_SET = frozenset(HEADER_FIELDS)
 _headers_of = attrgetter(*HEADER_FIELDS)
+_FIVE_TUPLE = (IP_SRC, IP_DST, IP_PROTO, TP_SRC, TP_DST)
 
 _MASK64 = (1 << 64) - 1
 
@@ -85,11 +86,11 @@ class Packet:
 
     The mapping protocol (``packet[name]``, ``name in packet``,
     :meth:`get`) and the :attr:`fields` view read and write the same
-    state by name, reset the cached flow key on a 5-tuple write, and
-    raise ``KeyError`` for a name that is not a field (``length``,
-    ``copy``).  Direct attribute writes skip that reset: the in-tree hot
-    loops that write a 5-tuple attribute clear ``_fkey``/``_fhash``
-    themselves.
+    state by name, and raise ``KeyError`` for a name that is not a
+    field (``length``, ``copy``).  Any write is safe, by attribute or by
+    name: :meth:`flow_hash` caches its value together with the 5-tuple
+    it was computed from and reuses it only while the packet still
+    carries that 5-tuple, so there is no cache to clear.
 
     A packet pays only for the state it carries: the custom-field
     dict, the annotation dict and the encapsulation stack are created
@@ -109,9 +110,6 @@ class Packet:
         "_extra", "_annotations", "_encap", "length", "_uid",
         "_fkey", "_fhash",
     )
-
-    #: Fields whose mutation invalidates the cached flow key/hash.
-    _FLOW_FIELDS = frozenset((IP_SRC, IP_DST, IP_PROTO, TP_SRC, TP_DST))
 
     def __init__(
         self,
@@ -213,9 +211,6 @@ class Packet:
     def __setitem__(self, field: str, value: Any) -> None:
         if field in _HEADER_SET:
             setattr(self, field, value)
-            if field in self._FLOW_FIELDS:
-                self._fkey = None
-                self._fhash = None
         else:
             extra = self._extra
             if extra is None:
@@ -285,7 +280,7 @@ class Packet:
         clone._encap = [dict(layer) for layer in stack] if stack else None
         clone.length = self.length
         clone._uid = None
-        # Clones share the 5-tuple, so the cached flow key/hash carries
+        # Clones share the 5-tuple, so the cached flow hash carries
         # over -- the big win for bulk traffic generation, where one
         # hashed template fans out to thousands of pre-hashed clones.
         clone._fkey = self._fkey
@@ -364,8 +359,6 @@ class Packet:
             stack.append(inner)
         for name, value in outer.items():
             self[name] = value
-        self._fkey = None
-        self._fhash = None
 
     def decapsulate(self) -> None:
         """Pop the innermost saved header, restoring pre-encap fields."""
@@ -383,8 +376,6 @@ class Packet:
             if name not in _HEADER_SET
         }
         self._extra = extra or None
-        self._fkey = None
-        self._fhash = None
 
     @property
     def encap_depth(self) -> int:
@@ -403,23 +394,17 @@ class Packet:
         )
 
     def flow_key(self):
-        """The 5-tuple identifying this packet's flow.
+        """The 5-tuple identifying this packet's flow, read afresh.
 
-        Cached per packet; the cache is invalidated by a 5-tuple write
-        through the mapping protocol or :attr:`fields`, and by
-        encapsulation/decapsulation.  A packet that lacks one of the
-        five fields raises ``KeyError``.
+        A packet that lacks one of the five fields raises ``KeyError``.
         """
-        key = self._fkey
-        if key is None:
-            try:
-                key = self._fkey = (
-                    self.ip_src, self.ip_dst, self.ip_proto,
-                    self.tp_src, self.tp_dst,
-                )
-            except AttributeError as exc:
-                raise KeyError(exc.name) from None
-        return key
+        try:
+            return (
+                self.ip_src, self.ip_dst, self.ip_proto,
+                self.tp_src, self.tp_dst,
+            )
+        except AttributeError as exc:
+            raise KeyError(exc.name) from None
 
     def flow_hash(self) -> int:
         """A stable 64-bit hash of this packet's 5-tuple (RSS-style).
@@ -442,24 +427,30 @@ class Packet:
           ports) contribute 0, matching a packet that carries explicit
           zeros.
 
-        The value is cached per packet (invalidated the same way as
-        :meth:`flow_key`), and clones inherit the cache -- so sharding
-        a ``copy_many`` train rehashes nothing.
+        The value is cached with the 5-tuple it was computed from and
+        reused only while the packet's current 5-tuple equals that
+        key, so a write by any route (attribute, mapping, column
+        write-back, encapsulation) can never leave it stale.  Clones
+        inherit the cache -- so sharding a ``copy_many`` train rehashes
+        nothing.
         """
-        cached = self._fhash
-        if cached is not None:
-            return cached
-        src = getattr(self, IP_SRC, None) or 0
-        dst = getattr(self, IP_DST, None) or 0
-        proto = getattr(self, IP_PROTO, None) or 0
-        sport = getattr(self, TP_SRC, None) or 0
-        dport = getattr(self, TP_DST, None) or 0
-        a = _mix64((src << 16) ^ sport)
-        b = _mix64((dst << 16) ^ dport)
+        try:
+            key = (
+                self.ip_src, self.ip_dst, self.ip_proto,
+                self.tp_src, self.tp_dst,
+            )
+        except AttributeError:  # a field the packet lacks counts as 0
+            key = tuple(getattr(self, name, None) for name in _FIVE_TUPLE)
+        if key == self._fkey:
+            return self._fhash
+        src, dst, proto, sport, dport = key
+        a = _mix64(((src or 0) << 16) ^ (sport or 0))
+        b = _mix64(((dst or 0) << 16) ^ (dport or 0))
         # xor and sum are both order-free, so (a, b) and (b, a) mix to
         # the same value without collapsing structure the way a bare
         # xor of equal endpoints would.
-        value = _mix64(((a + b) & _MASK64) ^ _mix64((a ^ b) + proto))
+        value = _mix64(((a + b) & _MASK64) ^ _mix64((a ^ b) + (proto or 0)))
+        self._fkey = key
         self._fhash = value
         return value
 
@@ -485,9 +476,8 @@ class Packet:
 class PacketFields(MutableMapping):
     """The live mapping view :attr:`Packet.fields` returns.
 
-    Reads and writes go through the packet's mapping protocol, so a
-    5-tuple write resets the cached flow key; deleting a header field
-    unsets its slot.  Iteration yields the header fields a packet
+    Reads and writes go through the packet's mapping protocol; deleting
+    a header field unsets its slot.  Iteration yields the header fields a packet
     carries in ``HEADER_FIELDS`` order, then custom fields in the order
     they were first set.
     """
@@ -510,9 +500,6 @@ class PacketFields(MutableMapping):
                 delattr(packet, field)
             except AttributeError:
                 raise KeyError(field) from None
-            if field in Packet._FLOW_FIELDS:
-                packet._fkey = None
-                packet._fhash = None
         else:
             extra = packet._extra
             if extra is None:

@@ -44,7 +44,8 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.click.config import ClickConfig, Edge
 from repro.common.addr import format_ip
-from repro.common.errors import DeploymentError, VerificationError
+from repro.common.errors import (
+    ConfigError, DeploymentError, VerificationError)
 from repro.core.requests import ClientRequest
 from repro.core.security import (
     SecurityReport,
@@ -147,7 +148,7 @@ class _Trial:
         #: Seconds per stage, shared by an operation's trials.
         self.spent = Counter() if spent is None else spent
         #: committed / dry-run / unsatisfied / security-reject /
-        #: verification-error / error.
+        #: bad-configuration / verification-error / error.
         self.outcome = "unsatisfied"
         self.done: Set[str] = set()
 
@@ -543,6 +544,9 @@ class Controller:
         except VerificationError as exc:
             trial.outcome = "verification-error"
             return None, "static checking impossible: %s" % exc
+        except ConfigError as exc:  # an element refused its arguments
+            trial.outcome = "bad-configuration"
+            return None, "bad configuration: %s" % exc
         if report.verdict == VERDICT_REJECT:
             trial.outcome = "security-reject"
             return report, "security rules violated:\n%s" % report

@@ -64,9 +64,8 @@ def flow_packets(
         tp_src=flow.sport,
         tp_dst=flow.dport,
     )
-    # Prime the flow-key/hash caches once; copy_many propagates them,
-    # so neither the sharder nor a stateful element rehashes per clone.
-    template.flow_key()
+    # Prime the flow-hash cache once; copy_many propagates it, so the
+    # sharder does not rehash per clone.
     template.flow_hash()
     return template.copy_many(packets_per_flow)
 

@@ -216,20 +216,20 @@ def flows_not_matching(flow: SymFlow, spec: FlowSpec) -> List[SymFlow]:
 
 def sequential_rules(
     flow: SymFlow, rules
-) -> Tuple[List[Tuple[int, SymFlow]], List[SymFlow]]:
+) -> Tuple[List[Tuple[object, SymFlow]], List[SymFlow]]:
     """First-match-wins rule evaluation over a symbolic flow.
 
-    ``rules`` is ``[(rule_index, FlowSpec), ...]``.  Returns
+    ``rules`` is ``[(label, FlowSpec), ...]``.  Returns
     ``(matched, unmatched)`` where ``matched`` pairs each fork with the
-    index of the rule it matched.
+    label of the rule it matched.
     """
-    matched: List[Tuple[int, SymFlow]] = []
+    matched: List[Tuple[object, SymFlow]] = []
     remaining = [flow]
-    for index, spec in rules:
+    for label, spec in rules:
         next_remaining: List[SymFlow] = []
         for candidate in remaining:
             matched.extend(
-                (index, fork) for fork in flows_matching(candidate, spec)
+                (label, fork) for fork in flows_matching(candidate, spec)
             )
             next_remaining.extend(flows_not_matching(candidate, spec))
         remaining = next_remaining
@@ -332,29 +332,19 @@ def _paintswitch(ctx, node, port, flow):
 # ---------------------------------------------------------------------------
 
 
-@register_model("IPFilter")
-def _compile_ipfilter(element):
-    rules = [(i, spec) for i, (_allowed, spec) in enumerate(element.rules)]
-    allowed_flags = [allowed for allowed, _spec in element.rules]
+def _compile_first_match(element):
+    """One compiler for every first-match table (``FirstMatch.rows``)."""
+    rows = [(out, spec) for spec, out in element.rows]
 
     def program(ctx, node, port, flow):
-        matched, _unmatched = sequential_rules(flow, rules)
-        return [(0, fork) for rule_index, fork in matched
-                if allowed_flags[rule_index]]
+        matched, _unmatched = sequential_rules(flow, rows)
+        return [(out, fork) for out, fork in matched if out is not None]
 
     return program
 
 
-@register_model("IPClassifier")
-@register_model("Classifier")
-def _compile_classifier(element):
-    rules = list(enumerate(element.patterns))
-
-    def program(ctx, node, port, flow):
-        matched, _unmatched = sequential_rules(flow, rules)
-        return matched
-
-    return program
+for _name in ("IPFilter", "IPClassifier", "Classifier"):
+    register_model(_name)(_compile_first_match)
 
 
 @register_model("IngressFilter")
@@ -422,27 +412,20 @@ def _compile_iprewriter(element):
     return program
 
 
-def _const_setter(field: str, attr: str) -> Compiler:
-    """Compiler for an element writing one configured constant."""
+def _compile_set_field(element):
+    """One compiler for every constant writer (``SetField``)."""
+    field, value = element.field, element.value
 
-    def compile_setter(element):
-        value = getattr(element, attr)
+    def program(ctx, node, port, flow):
+        set_const(ctx, flow, field, value, node)
+        return [(0, flow)]
 
-        def program(ctx, node, port, flow):
-            set_const(ctx, flow, field, value, node)
-            return [(0, flow)]
-
-        return program
-
-    return compile_setter
+    return program
 
 
-register_model("SetIPAddress")(_const_setter(F.IP_DST, "address"))
-register_model("SetIPSrc")(_const_setter(F.IP_SRC, "address"))
-register_model("SetTPDst")(_const_setter(F.TP_DST, "port_value"))
-register_model("SetTPSrc")(_const_setter(F.TP_SRC, "port_value"))
-register_model("SetIPTTL")(_const_setter(F.IP_TTL, "ttl"))
-register_model("SetIPTOS")(_const_setter(F.IP_TOS, "tos"))
+for _name in ("SetIPAddress", "SetIPSrc", "SetTPDst", "SetTPSrc",
+              "SetIPTTL", "SetIPTOS"):
+    register_model(_name)(_compile_set_field)
 
 
 @register_program("DecIPTTL")

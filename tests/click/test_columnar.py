@@ -131,7 +131,7 @@ def test_packable_train_has_no_side_table(rows):
 @settings(max_examples=200, deadline=None)
 def test_kill_and_dirty_write_back(rows, data):
     """Dirty columns materialize on survivors only; dead rows keep
-    their original fields; 5-tuple writes invalidate cached keys."""
+    their original fields; 5-tuple writes leave no stale flow hash."""
     train = [build_packet(row, encap=False) for row in rows]
     for packet in train:
         packet.flow_key()
@@ -149,7 +149,8 @@ def test_kill_and_dirty_write_back(rows, data):
     assert out == survivors
     for packet in survivors:
         assert packet.fields["ip_dst"] == new_dst
-        assert packet._fkey is None and packet._fhash is None
+        fresh = Packet(**packet.fields)
+        assert packet.flow_hash() == fresh.flow_hash()
         assert packet.flow_key()[1] == new_dst
     for packet, kept in zip(train, keep):
         if not kept:

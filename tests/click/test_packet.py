@@ -282,6 +282,70 @@ class TestFlowHash:
         assert min(buckets) > 150
 
 
+class TestNoStaleFlowKey:
+    """Whatever writes a 5-tuple field, ``flow_key()`` and
+    ``flow_hash()`` then read as they would on a fresh packet with the
+    same headers: the hash cache is checked against the packet's
+    current 5-tuple, so no writer has a cache to clear."""
+
+    WRITES = ((IP_SRC, 7), (IP_DST, 3), (IP_PROTO, UDP), (TP_SRC, 9),
+              (TP_DST, 11))
+
+    @staticmethod
+    def primed():
+        p = Packet(ip_src=1, ip_dst=2, ip_proto=TCP, tp_src=10, tp_dst=20)
+        p.flow_key()
+        p.flow_hash()
+        return p
+
+    @staticmethod
+    def assert_fresh(packet):
+        fresh = Packet(**packet.fields)
+        assert packet.flow_key() == fresh.flow_key()
+        assert packet.flow_hash() == fresh.flow_hash()
+
+    @pytest.mark.parametrize("field, value", WRITES)
+    def test_attribute_write(self, field, value):
+        p = self.primed()
+        setattr(p, field, value)
+        self.assert_fresh(p)
+
+    def test_every_write_in_turn(self):
+        p = self.primed()
+        for field, value in self.WRITES:
+            setattr(p, field, value)
+            self.assert_fresh(p)
+            p[field] = value + 1
+            self.assert_fresh(p)
+
+    def test_a_clone_written_after_priming(self):
+        template = self.primed()
+        first, second = template.copy_many(2)
+        first.ip_dst = 3
+        self.assert_fresh(first)
+        assert second.flow_hash() == template.flow_hash()
+
+    def test_encapsulate_and_decapsulate(self):
+        p = self.primed()
+        p.encapsulate(ip_src=5, ip_dst=6, ip_proto=17)
+        self.assert_fresh(p)
+        p.decapsulate()
+        self.assert_fresh(p)
+        assert p.flow_key() == (1, 2, TCP, 10, 20)
+
+    def test_column_write_back(self):
+        columnar = pytest.importorskip("repro.click.columnar")
+        pytest.importorskip("numpy")
+        train = [self.primed() for _ in range(4)]
+        cols = columnar.PacketColumns.from_packets(train, (IP_DST, TP_SRC))
+        cols.set_all(IP_DST, 3)
+        cols.set_rows(TP_SRC, [1, 3], [40, 41])
+        assert cols.to_packets() is train
+        for p in train:
+            self.assert_fresh(p)
+        assert [p.tp_src for p in train] == [10, 40, 10, 41]
+
+
 class TestLazyState:
     """Annotations, encap stack and uid are created on first use; a
     first write on one packet never reaches another."""
