@@ -165,9 +165,9 @@ class FlowSpec:
         """The DNF as nested tuples of (field, IntervalSet) pairs.
 
         One tuple per clause, in clause order.  Vectorized matchers
-        (``IPFilter.push_batch`` and friends) hoist this once and loop
-        over plain tuples per packet instead of paying the
-        ``matches()`` call and dict iteration per packet.
+        (``FirstMatch.push_batch`` and its column kernel) hoist this
+        once and loop over plain tuples per packet instead of paying
+        the ``matches()`` call and dict iteration per packet.
         """
         return tuple(
             clause.constraint_items() for clause in self.clauses

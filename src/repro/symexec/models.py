@@ -52,15 +52,17 @@ Compiler = Callable[[object], Program]
 _MODELS: Dict[str, Compiler] = {}
 
 
-def register_model(class_name: str):
-    """Decorator registering the model compiler for an element class."""
+def register_model(*class_names: str):
+    """Decorator registering one model compiler for ``class_names``
+    (an element family shares its compiler)."""
 
     def decorate(fn: Compiler) -> Compiler:
-        if class_name in _MODELS:
-            raise VerificationError(
-                "model for %r registered twice" % (class_name,)
-            )
-        _MODELS[class_name] = fn
+        for class_name in class_names:
+            if class_name in _MODELS:
+                raise VerificationError(
+                    "model for %r registered twice" % (class_name,)
+                )
+            _MODELS[class_name] = fn
         return fn
 
     return decorate
@@ -71,8 +73,7 @@ def register_program(*class_names: str):
     ``class_names``: every instance runs it unchanged."""
 
     def decorate(program: Program) -> Program:
-        for class_name in class_names:
-            register_model(class_name)(lambda element: program)
+        register_model(*class_names)(lambda element: program)
         return program
 
     return decorate
@@ -332,6 +333,7 @@ def _paintswitch(ctx, node, port, flow):
 # ---------------------------------------------------------------------------
 
 
+@register_model("IPFilter", "IPClassifier", "Classifier")
 def _compile_first_match(element):
     """One compiler for every first-match table (``FirstMatch.rows``)."""
     rows = [(out, spec) for spec, out in element.rows]
@@ -341,10 +343,6 @@ def _compile_first_match(element):
         return [(out, fork) for out, fork in matched if out is not None]
 
     return program
-
-
-for _name in ("IPFilter", "IPClassifier", "Classifier"):
-    register_model(_name)(_compile_first_match)
 
 
 @register_model("IngressFilter")
@@ -412,6 +410,8 @@ def _compile_iprewriter(element):
     return program
 
 
+@register_model("SetIPAddress", "SetIPSrc", "SetTPDst", "SetTPSrc",
+                "SetIPTTL", "SetIPTOS")
 def _compile_set_field(element):
     """One compiler for every constant writer (``SetField``)."""
     field, value = element.field, element.value
@@ -421,11 +421,6 @@ def _compile_set_field(element):
         return [(0, flow)]
 
     return program
-
-
-for _name in ("SetIPAddress", "SetIPSrc", "SetTPDst", "SetTPSrc",
-              "SetIPTTL", "SetIPTOS"):
-    register_model(_name)(_compile_set_field)
 
 
 @register_program("DecIPTTL")

@@ -135,10 +135,11 @@ def concrete_egress(
     out = []
     for record in runtime.output:
         ingress = before[record.packet.uid]
+        egress = _headers(record.packet)
         out.append((
             record.element,
             tuple(ingress[f] for f in CHECKED),
-            tuple(_headers(record.packet)[f] for f in CHECKED),
+            tuple(egress[f] for f in CHECKED),
         ))
     return sorted(out)
 
